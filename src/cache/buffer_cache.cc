@@ -75,12 +75,11 @@ void BufferCache::SetDirty(Buffer* buf, bool dirty) {
   if (buf->dirty_ == dirty) return;
   buf->dirty_ = dirty;
   if (dirty) {
-    ++dirty_count_;
     buf->dirty_since_ns_ = dev_->disk()->now().nanos();
     dirty_fifo_.emplace_back(buf->bno_, buf->dirty_since_ns_);
+    dirty_index_.emplace(buf->bno_, buf);
   } else {
-    assert(dirty_count_ > 0);
-    --dirty_count_;
+    dirty_index_.erase(buf->bno_);
   }
 }
 
@@ -116,7 +115,7 @@ Status BufferCache::EvictIfNeeded() {
   // quarter of the cache is dirty and we need space, flush everything in
   // one scheduled, clustered batch instead of dribbling single-block
   // eviction writes.
-  if (buffers_.size() >= capacity_ && dirty_count_ >= capacity_ / 4) {
+  if (buffers_.size() >= capacity_ && dirty_count() >= capacity_ / 4) {
     RETURN_IF_ERROR(SyncAll());
   }
   while (buffers_.size() >= capacity_) {
@@ -290,21 +289,15 @@ Status BufferCache::SyncBlock(uint64_t bno) {
 
 std::vector<blk::WriteOp> BufferCache::BuildFlushPlan() {
   std::vector<blk::WriteOp> ops;
-  ops.reserve(dirty_count_);
-  for (auto& [bno, buf] : buffers_) {
-    if (buf->dirty_) {
-      ops.push_back({bno, buf->data().data(), buf->flush_unit_});
-    }
+  if (dirty_index_.empty()) return ops;
+  ops.reserve(dirty_index_.size());
+  for (const auto& [bno, buf] : dirty_index_) {
+    ops.push_back({bno, buf->data().data(), buf->flush_unit_});
   }
-  if (ops.empty()) return ops;
 
   // Group write units go to disk whole: when two dirty blocks of the same
   // unit have a small gap between them and every gap block is resident
   // (clean), rewrite the gap blocks too so the unit stays one command.
-  std::sort(ops.begin(), ops.end(),
-            [](const blk::WriteOp& a, const blk::WriteOp& b) {
-              return a.bno < b.bno;
-            });
   const size_t dirty_end = ops.size();
   std::vector<blk::WriteOp> fills;
   for (size_t i = 0; i + 1 < dirty_end; ++i) {
@@ -312,27 +305,26 @@ std::vector<blk::WriteOp> BufferCache::BuildFlushPlan() {
         ops[i + 1].bno - ops[i].bno > 64) {
       continue;
     }
-    bool all_resident = true;
+    const size_t mark = fills.size();
     for (uint64_t b = ops[i].bno + 1; b < ops[i + 1].bno; ++b) {
       Buffer* gap = FindResident(b);
       if (gap == nullptr) {
-        all_resident = false;
+        fills.resize(mark);
         break;
       }
-    }
-    if (!all_resident) continue;
-    for (uint64_t b = ops[i].bno + 1; b < ops[i + 1].bno; ++b) {
-      Buffer* gap = FindResident(b);
-      if (!gap->dirty_) {
-        fills.push_back({b, gap->data().data(), ops[i].unit});
-      }
+      // Strictly between two consecutive dirty blocks, so clean.
+      assert(!gap->dirty_);
+      fills.push_back({b, gap->data().data(), ops[i].unit});
     }
   }
+  if (fills.empty()) return ops;
+  // Both runs ascend, and every filler lies strictly inside a gap between
+  // dirty blocks, so one merge yields the block-number order.
   ops.insert(ops.end(), fills.begin(), fills.end());
-  std::sort(ops.begin(), ops.end(),
-            [](const blk::WriteOp& a, const blk::WriteOp& b) {
-              return a.bno < b.bno;
-            });
+  std::inplace_merge(ops.begin(), ops.begin() + dirty_end, ops.end(),
+                     [](const blk::WriteOp& a, const blk::WriteOp& b) {
+                       return a.bno < b.bno;
+                     });
   return ops;
 }
 
@@ -419,7 +411,7 @@ void BufferCache::Invalidate(uint64_t bno) {
 }
 
 size_t BufferCache::CrashDropAll() {
-  const size_t lost = dirty_count_;
+  const size_t lost = dirty_count();
   for (auto& [bno, buf] : buffers_) {
     assert(buf->pins_ == 0);
     NoteStagedDropped(buf.get());
@@ -428,30 +420,25 @@ size_t BufferCache::CrashDropAll() {
   buffers_.clear();
   logical_index_.clear();
   lru_.clear();
-  dirty_count_ = 0;
   dirty_fifo_.clear();
+  dirty_index_.clear();
   return lost;
 }
 
 std::vector<BufferCache::DirtyBlock> BufferCache::DirtyBlocks() const {
   std::vector<DirtyBlock> out;
-  out.reserve(dirty_count_);
-  for (const auto& [bno, buf] : buffers_) {
-    if (!buf->dirty_) continue;
+  out.reserve(dirty_index_.size());
+  for (const auto& [bno, buf] : dirty_index_) {
     DirtyBlock d;
     d.bno = bno;
     d.data.assign(buf->data_.get(), buf->data_.get() + blk::kBlockSize);
     out.push_back(std::move(d));
   }
-  std::sort(out.begin(), out.end(),
-            [](const DirtyBlock& a, const DirtyBlock& b) {
-              return a.bno < b.bno;
-            });
   return out;
 }
 
 void BufferCache::InvalidateAll() {
-  assert(dirty_count_ == 0 && "sync before invalidating the whole cache");
+  assert(dirty_index_.empty() && "sync before invalidating the whole cache");
   for (auto& [bno, buf] : buffers_) {
     assert(buf->pins_ == 0);
     NoteStagedDropped(buf.get());
@@ -461,6 +448,7 @@ void BufferCache::InvalidateAll() {
   logical_index_.clear();
   lru_.clear();
   dirty_fifo_.clear();
+  dirty_index_.clear();
 }
 
 }  // namespace cffs::cache

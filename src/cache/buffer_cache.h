@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <list>
+#include <map>
 #include <memory>
 #include <utility>
 #include <span>
@@ -149,7 +150,7 @@ class BufferCache {
   blk::BlockDevice* device() { return dev_; }
   size_t capacity() const { return capacity_; }
   size_t size() const { return buffers_.size(); }
-  size_t dirty_count() const { return dirty_count_; }
+  size_t dirty_count() const { return dirty_index_.size(); }
   CacheStats& stats() { return stats_; }
 
   // Emits hit/miss/eviction/group-read trace events. nullptr disables.
@@ -208,6 +209,8 @@ class BufferCache {
   // clean gap-fillers that bridge small same-flush-unit gaps (so physically
   // near writes coalesce into one disk command), sorted by block number.
   // Shared by SyncAll() and the syncer's engine-submitted flush epochs.
+  // Costs O(d log d) in the d dirty blocks plus the gap probes, whatever
+  // the number of resident clean blocks (it walks the dirty index).
   // The WriteOps alias buffer memory: the plan is invalidated by any cache
   // mutation and must be issued (or dropped) before the next operation.
   std::vector<blk::WriteOp> BuildFlushPlan();
@@ -272,7 +275,6 @@ class BufferCache {
 
   blk::BlockDevice* dev_;
   size_t capacity_;
-  size_t dirty_count_ = 0;
   CacheStats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
@@ -283,6 +285,10 @@ class BufferCache {
   // Clean->dirty transitions in order, drained lazily by oldest_dirty_ns():
   // an entry is stale if its buffer is gone, clean, or re-dirtied later.
   std::deque<std::pair<uint64_t, int64_t>> dirty_fifo_;
+  // Every dirty resident buffer, keyed (and so ordered) by block number.
+  // SetDirty is its only writer, so it always equals the set of dirty
+  // resident buffers; the flush paths walk it instead of buffers_.
+  std::map<uint64_t, Buffer*> dirty_index_;
 };
 
 }  // namespace cffs::cache

@@ -83,11 +83,8 @@ Status CrashStateEnumerator::ExploreState(
   for (size_t i = 0; i < dirty.size(); ++i) {
     if (!selected[i]) continue;
     const auto& d = dirty[i];
-    for (uint32_t s = 0; s < blk::kSectorsPerBlock; ++s) {
-      clone->PokeSector(
-          d.bno * blk::kSectorsPerBlock + s,
-          std::span(d.data.data() + s * disk::kSectorSize, disk::kSectorSize));
-    }
+    clone->PokeSectors(d.bno * blk::kSectorsPerBlock, blk::kSectorsPerBlock,
+                       d.data);
   }
 
   blk::BlockDevice dev(clone.get(), env_->config().scheduler);

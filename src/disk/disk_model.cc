@@ -193,16 +193,61 @@ void DiskModel::RecordIoEvent(const DiskStats& before, SimTime start,
   trace_->Record(e);
 }
 
-uint8_t* DiskModel::SectorPtr(uint64_t lba, bool create) {
-  const uint64_t chunk = lba / kChunkSectors;
+uint8_t* DiskModel::MutableChunk(uint64_t chunk) {
   auto it = chunks_.find(chunk);
   if (it == chunks_.end()) {
-    if (!create) return nullptr;
-    auto buf = std::make_unique<uint8_t[]>(kChunkSectors * kSectorSize);
-    std::memset(buf.get(), 0, kChunkSectors * kSectorSize);
-    it = chunks_.emplace(chunk, std::move(buf)).first;
+    // Value-initialized: a new chunk reads as zeros.
+    it = chunks_
+             .emplace(chunk,
+                      std::make_unique<uint8_t[]>(kChunkSectors * kSectorSize))
+             .first;
   }
-  return it->second.get() + (lba % kChunkSectors) * kSectorSize;
+  return it->second.get();
+}
+
+void DiskModel::PeekSectors(uint64_t lba, uint32_t nsectors,
+                            std::span<uint8_t> out) const {
+  assert(out.size() >= static_cast<size_t>(nsectors) * kSectorSize);
+  uint8_t* dst = out.data();
+  while (nsectors > 0) {
+    const uint32_t offset = static_cast<uint32_t>(lba % kChunkSectors);
+    const uint32_t n = std::min(nsectors, kChunkSectors - offset);
+    const size_t bytes = static_cast<size_t>(n) * kSectorSize;
+    auto it = chunks_.find(lba / kChunkSectors);
+    if (it == chunks_.end()) {
+      std::memset(dst, 0, bytes);
+    } else {
+      std::memcpy(dst, it->second.get() + offset * kSectorSize, bytes);
+    }
+    dst += bytes;
+    lba += n;
+    nsectors -= n;
+  }
+}
+
+void DiskModel::PokeSectors(uint64_t lba, uint32_t nsectors,
+                            std::span<const uint8_t> in) {
+  assert(in.size() >= static_cast<size_t>(nsectors) * kSectorSize);
+  const uint8_t* src = in.data();
+  while (nsectors > 0) {
+    const uint32_t offset = static_cast<uint32_t>(lba % kChunkSectors);
+    const uint32_t n = std::min(nsectors, kChunkSectors - offset);
+    const size_t bytes = static_cast<size_t>(n) * kSectorSize;
+    std::memcpy(MutableChunk(lba / kChunkSectors) + offset * kSectorSize, src,
+                bytes);
+    src += bytes;
+    lba += n;
+    nsectors -= n;
+  }
+}
+
+std::optional<uint64_t> DiskModel::FirstReadError(uint64_t lba,
+                                                  uint32_t nsectors) const {
+  if (bad_sectors_.empty()) return std::nullopt;
+  for (uint64_t s = lba; s < lba + nsectors; ++s) {
+    if (bad_sectors_.count(s) != 0) return s;
+  }
+  return std::nullopt;
 }
 
 Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) {
@@ -212,9 +257,7 @@ Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) 
   if (out.size() < static_cast<size_t>(nsectors) * kSectorSize) {
     return InvalidArgument("read buffer too small");
   }
-  for (uint64_t s = lba; s < lba + nsectors; ++s) {
-    if (bad_sectors_.count(s)) return IoError("unreadable sector");
-  }
+  if (FirstReadError(lba, nsectors)) return IoError("unreadable sector");
 
   const SimTime start = clock_->now();
   const DiskStats before = stats_;
@@ -253,15 +296,7 @@ Status DiskModel::Read(uint64_t lba, uint32_t nsectors, std::span<uint8_t> out) 
                   segment_hit);
   }
 
-  for (uint32_t i = 0; i < nsectors; ++i) {
-    const uint8_t* src = SectorPtr(lba + i, /*create=*/false);
-    uint8_t* dst = out.data() + static_cast<size_t>(i) * kSectorSize;
-    if (src) {
-      std::memcpy(dst, src, kSectorSize);
-    } else {
-      std::memset(dst, 0, kSectorSize);
-    }
-  }
+  PeekSectors(lba, nsectors, out);
   return OkStatus();
 }
 
@@ -308,33 +343,14 @@ Status DiskModel::Write(uint64_t lba, uint32_t nsectors,
                   /*segment_hit=*/false);
   }
 
-  for (uint32_t i = 0; i < nsectors; ++i) {
-    uint8_t* dst = SectorPtr(lba + i, /*create=*/true);
-    std::memcpy(dst, in.data() + static_cast<size_t>(i) * kSectorSize, kSectorSize);
-  }
+  PokeSectors(lba, nsectors, in);
   return OkStatus();
 }
 
 void DiskModel::CorruptSector(uint64_t lba) {
-  uint8_t* p = SectorPtr(lba, /*create=*/true);
+  uint8_t* p = MutableChunk(lba / kChunkSectors) +
+               (lba % kChunkSectors) * kSectorSize;
   for (uint32_t i = 0; i < kSectorSize; i += 16) p[i] ^= 0xa5;
-}
-
-void DiskModel::PeekSector(uint64_t lba, std::span<uint8_t> out) const {
-  assert(out.size() >= kSectorSize);
-  const uint64_t chunk = lba / kChunkSectors;
-  auto it = chunks_.find(chunk);
-  if (it == chunks_.end()) {
-    std::memset(out.data(), 0, kSectorSize);
-    return;
-  }
-  std::memcpy(out.data(), it->second.get() + (lba % kChunkSectors) * kSectorSize,
-              kSectorSize);
-}
-
-void DiskModel::PokeSector(uint64_t lba, std::span<const uint8_t> in) {
-  assert(in.size() >= kSectorSize);
-  std::memcpy(SectorPtr(lba, /*create=*/true), in.data(), kSectorSize);
 }
 
 void DiskModel::ForEachChunk(
@@ -349,8 +365,8 @@ void DiskModel::ForEachChunk(
 void DiskModel::RestoreChunk(uint64_t chunk_index,
                              std::span<const uint8_t> data) {
   assert(data.size() == kChunkSectors * kSectorSize);
-  uint8_t* dst = SectorPtr(chunk_index * kChunkSectors, /*create=*/true);
-  std::memcpy(dst, data.data(), kChunkSectors * kSectorSize);
+  std::memcpy(MutableChunk(chunk_index), data.data(),
+              kChunkSectors * kSectorSize);
 }
 
 }  // namespace cffs::disk

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -102,17 +103,28 @@ class DiskModel {
   // Future reads of this LBA fail with kIoError until cleared.
   void InjectReadError(uint64_t lba) { bad_sectors_.insert(lba); }
   void ClearReadError(uint64_t lba) { bad_sectors_.erase(lba); }
-  // Whether a read of this LBA would fail. Lets alternative device models
-  // (src/flash) that bypass Read's timing path keep fault-injection parity.
-  bool HasReadError(uint64_t lba) const {
-    return bad_sectors_.count(lba) != 0;
-  }
+  // The first LBA in [lba, lba + nsectors) whose read would fail, if any.
+  // Lets alternative device models (src/flash) that bypass Read's timing
+  // path keep fault-injection parity.
+  std::optional<uint64_t> FirstReadError(uint64_t lba,
+                                         uint32_t nsectors) const;
   // Silently flips bits in a stored sector (media corruption).
   void CorruptSector(uint64_t lba);
 
   // Direct, time-free access for tools (mkfs image inspection, fsck tests).
-  void PeekSector(uint64_t lba, std::span<uint8_t> out) const;
-  void PokeSector(uint64_t lba, std::span<const uint8_t> in);
+  void PeekSector(uint64_t lba, std::span<uint8_t> out) const {
+    PeekSectors(lba, 1, out);
+  }
+  void PokeSector(uint64_t lba, std::span<const uint8_t> in) {
+    PokeSectors(lba, 1, in);
+  }
+  // Time-free copies of `nsectors` consecutive sectors, one chunk at a time
+  // (one store lookup per 128 KB chunk touched). Never-written sectors read
+  // as zeros. Read/Write and the flash device move their data through these.
+  void PeekSectors(uint64_t lba, uint32_t nsectors,
+                   std::span<uint8_t> out) const;
+  void PokeSectors(uint64_t lba, uint32_t nsectors,
+                   std::span<const uint8_t> in);
 
   // Image (de)serialization support — see src/disk/image.h.
   static constexpr uint32_t kImageChunkSectors = 256;  // == kChunkSectors
@@ -149,7 +161,8 @@ class DiskModel {
   void CacheInsert(uint64_t lba, uint32_t nsectors);
   void CacheInvalidate(uint64_t lba, uint32_t nsectors);
 
-  uint8_t* SectorPtr(uint64_t lba, bool create);
+  // The chunk's storage, created zero-filled if it was never written.
+  uint8_t* MutableChunk(uint64_t chunk);
 
   DiskSpec spec_;
   Geometry geometry_;

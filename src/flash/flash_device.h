@@ -6,7 +6,7 @@
 // submission/completion queues, and both file systems dispatch through
 // the base pointer and never know which media they drive. Data still
 // lives in the wrapped DiskModel's chunked store (via the time-free
-// PeekSector/PokeSector accessors), so disk-image serialization, crash
+// PeekSectors/PokeSectors range copies), so disk-image serialization, crash
 // enumeration and sector fault injection keep working unchanged; only the
 // *timing* path is replaced.
 //

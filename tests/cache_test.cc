@@ -1,6 +1,11 @@
 // Unit tests for the block device and the dual-indexed buffer cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+
 #include "src/cache/buffer_cache.h"
 #include "src/disk/disk_model.h"
 
@@ -321,6 +326,218 @@ TEST_F(CacheTest, InsertRunStagesOnlyNonDemandBlocks) {
   EXPECT_FALSE(cache_.Lookup(200).value()->staged());
   EXPECT_EQ(cache_.Lookup(202).value()->data()[0], 0x77);
   EXPECT_EQ(cache_.Lookup(201).value()->flush_unit(), 200u);
+}
+
+// --- Dirty index: the flush paths walk only the dirty blocks --------------
+
+// The index must hold exactly the dirty resident buffers; a stale entry
+// would put a freed buffer (or a clean one) into the next flush plan.
+void ExpectPlanIsExactly(cache::BufferCache& cache,
+                         const std::vector<uint64_t>& bnos) {
+  std::vector<blk::WriteOp> plan = cache.BuildFlushPlan();
+  ASSERT_EQ(plan.size(), bnos.size());
+  for (size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(plan[i].bno, bnos[i]);
+    // The op aliases the resident buffer, not a dropped one.
+    EXPECT_EQ(plan[i].data, cache.Lookup(bnos[i]).value()->data().data());
+  }
+  EXPECT_EQ(cache.dirty_count(), bnos.size());
+  EXPECT_EQ(cache.DirtyBlocks().size(), bnos.size());
+}
+
+TEST_F(CacheTest, DirtyIndexMatchesAModelUnderRandomOps) {
+  // Big enough that nothing is evicted: every drop is explicit.
+  cache::BufferCache cache(&dev_, 1024);
+  std::mt19937_64 rng(20240611);
+  std::set<uint64_t> resident;
+  std::map<uint64_t, uint64_t> dirty;  // bno -> flush unit
+  constexpr uint64_t kBlocks = 200;
+  auto pick = [&] { return rng() % kBlocks; };
+  // A few units so same-unit neighbours and gaps both occur.
+  auto pick_unit = [&](uint64_t bno) {
+    return rng() % 4 == 0 ? cache::kNoFlushUnit : bno / 24;
+  };
+
+  // The reference plan: dirty blocks plus resident gap-fillers between
+  // consecutive same-unit dirty blocks at most 64 apart.
+  auto reference_plan = [&] {
+    std::vector<std::pair<uint64_t, uint64_t>> want(dirty.begin(),
+                                                    dirty.end());
+    std::vector<std::pair<uint64_t, uint64_t>> fills;
+    for (size_t i = 0; i + 1 < want.size(); ++i) {
+      const auto [a, unit] = want[i];
+      const uint64_t b = want[i + 1].first;
+      if (unit == cache::kNoFlushUnit || unit != want[i + 1].second ||
+          b - a > 64) {
+        continue;
+      }
+      bool all = true;
+      for (uint64_t g = a + 1; g < b; ++g) all = all && resident.count(g);
+      if (!all) continue;
+      for (uint64_t g = a + 1; g < b; ++g) fills.push_back({g, unit});
+    }
+    want.insert(want.end(), fills.begin(), fills.end());
+    std::sort(want.begin(), want.end());
+    return want;
+  };
+
+  size_t fillers_seen = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const uint64_t bno = pick();
+    switch (rng() % 16) {
+      case 0: case 1: case 2: case 3: {  // fresh or re-zeroed block
+        auto r = cache.GetZero(bno);
+        ASSERT_TRUE(r.ok());
+        resident.insert(bno);
+        break;
+      }
+      case 4: case 5: case 6: case 7: case 8: {  // write
+        auto r = cache.GetZero(bno);
+        ASSERT_TRUE(r.ok());
+        const uint64_t unit = pick_unit(bno);
+        cache.SetFlushUnit(*r, unit);
+        cache.MarkDirty(*r);
+        resident.insert(bno);
+        dirty[bno] = unit;
+        break;
+      }
+      case 9: {  // retag a resident block
+        if (!resident.count(bno)) break;
+        auto r = cache.Lookup(bno);
+        ASSERT_TRUE(r.ok());
+        const uint64_t unit = pick_unit(bno);
+        cache.SetFlushUnit(*r, unit);
+        if (dirty.count(bno)) dirty[bno] = unit;
+        break;
+      }
+      case 10: {
+        ASSERT_TRUE(cache.SyncAll().ok());
+        dirty.clear();
+        break;
+      }
+      case 11: case 12: {  // syncer-style epoch: plan, write, note
+        std::vector<blk::WriteOp> plan = cache.BuildFlushPlan();
+        ASSERT_TRUE(plan.empty() || dev_.WriteBatch(plan).ok());
+        ASSERT_EQ(cache.NoteFlushed(plan), dirty.size());
+        dirty.clear();
+        break;
+      }
+      case 13: case 14: {
+        cache.Invalidate(bno);
+        resident.erase(bno);
+        dirty.erase(bno);
+        break;
+      }
+      case 15: {
+        if (rng() % 8 != 0) break;  // rare: it empties everything
+        ASSERT_EQ(cache.CrashDropAll(), dirty.size());
+        resident.clear();
+        dirty.clear();
+        break;
+      }
+    }
+
+    ASSERT_EQ(cache.dirty_count(), dirty.size()) << "step " << step;
+    ASSERT_EQ(cache.size(), resident.size()) << "step " << step;
+    std::vector<blk::WriteOp> plan = cache.BuildFlushPlan();
+    const auto want = reference_plan();
+    ASSERT_EQ(plan.size(), want.size()) << "step " << step;
+    for (size_t i = 0; i < plan.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(plan[i - 1].bno, plan[i].bno);
+      }
+      ASSERT_EQ(plan[i].bno, want[i].first) << "step " << step;
+      ASSERT_EQ(plan[i].unit, want[i].second) << "step " << step;
+    }
+    fillers_seen += plan.size() - dirty.size();
+    const auto blocks = cache.DirtyBlocks();
+    ASSERT_EQ(blocks.size(), dirty.size());
+    size_t k = 0;
+    for (const auto& [b, unit] : dirty) ASSERT_EQ(blocks[k++].bno, b);
+  }
+  EXPECT_GT(fillers_seen, 0u);  // the gap-filler merge was exercised
+  std::vector<blk::WriteOp> plan = cache.BuildFlushPlan();
+  EXPECT_EQ(cache.NoteFlushed(plan), dirty.size());
+  EXPECT_EQ(cache.dirty_count(), 0u);
+}
+
+TEST_F(CacheTest, DirtyIndexForgetsEvictedDirtyVictim) {
+  {
+    auto a = cache_.GetZero(5);
+    a->data()[0] = 0x77;
+    cache_.MarkDirty(*a);
+  }
+  // One dirty block stays under the quarter-dirty sync threshold, so it
+  // leaves by eviction write-back.
+  for (uint64_t b = 100; b < 100 + 80; ++b) cache_.GetZero(b).value().Release();
+  ASSERT_FALSE(cache_.Lookup(5).ok());
+  ExpectPlanIsExactly(cache_, {});
+  {
+    auto a = cache_.GetZero(5);
+    cache_.MarkDirty(*a);
+  }
+  ExpectPlanIsExactly(cache_, {5});
+}
+
+TEST_F(CacheTest, DirtyIndexForgetsInvalidatedBlock) {
+  for (uint64_t b : {7, 9}) {
+    auto r = cache_.GetZero(b);
+    cache_.MarkDirty(*r);
+  }
+  cache_.Invalidate(7);
+  ExpectPlanIsExactly(cache_, {9});
+  cache_.GetZero(7).value().Release();  // resident again, but clean
+  ExpectPlanIsExactly(cache_, {9});
+}
+
+TEST_F(CacheTest, DirtyIndexTracksRedirtyAfterFlush) {
+  {
+    auto r = cache_.GetZero(12);
+    cache_.MarkDirty(*r);
+  }
+  ASSERT_TRUE(cache_.SyncAll().ok());
+  ExpectPlanIsExactly(cache_, {});
+  {
+    auto r = cache_.GetZero(12);
+    cache_.MarkDirty(*r);
+    cache_.MarkDirty(*r);  // already dirty: no second entry
+  }
+  ExpectPlanIsExactly(cache_, {12});
+  EXPECT_EQ(cache_.NoteFlushed(cache_.BuildFlushPlan()), 1u);
+  ExpectPlanIsExactly(cache_, {});
+}
+
+TEST_F(CacheTest, DirtyIndexStartsEmptyAfterCrash) {
+  for (uint64_t b : {3, 4, 40}) {
+    auto r = cache_.GetZero(b);
+    cache_.MarkDirty(*r);
+  }
+  EXPECT_EQ(cache_.CrashDropAll(), 3u);
+  ExpectPlanIsExactly(cache_, {});
+  for (uint64_t b : {40, 41}) {
+    auto r = cache_.GetZero(b);
+    cache_.MarkDirty(*r);
+  }
+  ExpectPlanIsExactly(cache_, {40, 41});
+}
+
+TEST_F(CacheTest, GapFillersStayOutOfTheDirtyIndex) {
+  for (uint64_t b = 301; b <= 302; ++b) cache_.GetZero(b).value().Release();
+  for (uint64_t b : {300, 303}) {
+    auto r = cache_.GetZero(b);
+    cache_.MarkDirty(*r);
+    cache_.SetFlushUnit(*r, 300);
+  }
+  ASSERT_EQ(cache_.BuildFlushPlan().size(), 4u);
+  EXPECT_EQ(cache_.dirty_count(), 2u);
+  EXPECT_EQ(cache_.DirtyBlocks().size(), 2u);
+  ASSERT_TRUE(cache_.SyncAll().ok());
+  ExpectPlanIsExactly(cache_, {});
+  {
+    auto r = cache_.GetZero(301);
+    cache_.MarkDirty(*r);
+  }
+  ExpectPlanIsExactly(cache_, {301});
 }
 
 TEST(BlockDeviceTest, RunBoundsChecked) {

@@ -2,6 +2,9 @@
 // model, on-board cache, scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "src/disk/disk_model.h"
 #include "src/disk/scheduler.h"
 #include "src/util/rng.h"
@@ -219,6 +222,52 @@ TEST_F(DiskModelTest, PeekPokeBypassTiming) {
   model_.PeekSector(55, out);
   EXPECT_EQ(clock_.now(), t0);
   EXPECT_EQ(in, out);
+}
+
+// The store keeps 256-sector chunks: [0, 256), [256, 512), [512, 768)...
+TEST_F(DiskModelTest, RangeCopiesStraddleChunkBoundaries) {
+  std::vector<uint8_t> in(40 * kSectorSize);
+  for (size_t i = 0; i < in.size(); ++i) in[i] = static_cast<uint8_t>(i % 251);
+  ASSERT_TRUE(model_.Write(240, 40, in).ok());  // 16 + 24 across 0|1
+  std::vector<uint8_t> poke(8 * kSectorSize, 0x3c);
+  model_.PokeSectors(500, 8, poke);             // chunk 1 only
+
+  // A timed read running from chunk 1 into never-written chunk 2.
+  std::vector<uint8_t> out(32 * kSectorSize, 0xff);
+  ASSERT_TRUE(model_.Read(496, 32, out).ok());
+  for (size_t i = 0; i < 4 * kSectorSize; ++i) ASSERT_EQ(out[i], 0);
+  for (size_t i = 4 * kSectorSize; i < 12 * kSectorSize; ++i) {
+    ASSERT_EQ(out[i], 0x3c);
+  }
+  for (size_t i = 12 * kSectorSize; i < out.size(); ++i) ASSERT_EQ(out[i], 0);
+
+  // A range copy over four chunks equals the per-sector copies.
+  constexpr uint32_t kSpan = 600;
+  std::vector<uint8_t> range(kSpan * kSectorSize, 0xff);
+  model_.PeekSectors(200, kSpan, range);
+  std::vector<uint8_t> sector(kSectorSize);
+  for (uint32_t i = 0; i < kSpan; ++i) {
+    model_.PeekSector(200 + i, sector);
+    ASSERT_TRUE(std::equal(sector.begin(), sector.end(),
+                           range.begin() + i * kSectorSize))
+        << "lba " << 200 + i;
+  }
+  std::vector<uint8_t> back(in.size());
+  ASSERT_TRUE(model_.Read(240, 40, back).ok());
+  EXPECT_EQ(back, in);
+}
+
+TEST_F(DiskModelTest, InjectedErrorInsideMultiBlockReadFails) {
+  // Three 8-sector blocks across the chunk 0|1 boundary; the 5th sector
+  // is bad, so the whole command fails.
+  std::vector<uint8_t> buf(24 * kSectorSize);
+  model_.InjectReadError(252);
+  EXPECT_EQ(model_.Read(248, 24, buf).code(), ErrorCode::kIoError);
+  EXPECT_EQ(model_.stats().read_requests, 0u);
+  EXPECT_EQ(model_.FirstReadError(248, 24), std::optional<uint64_t>(252));
+  model_.ClearReadError(252);
+  EXPECT_FALSE(model_.FirstReadError(248, 24).has_value());
+  EXPECT_TRUE(model_.Read(248, 24, buf).ok());
 }
 
 TEST(AverageAccessTest, GrowsSlowlyForSmallSizes) {

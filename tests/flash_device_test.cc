@@ -4,6 +4,8 @@
 // nanosecond) and run-to-run determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/disk/disk_model.h"
@@ -203,6 +205,62 @@ TEST(FlashDeviceTest, DataRoundTripsThroughTheSectorStore) {
   EXPECT_EQ(h.dev_.stats().reads, 1u);
   EXPECT_EQ(h.dev_.stats().writes, 1u);
   EXPECT_EQ(h.dev_.stats().blocks_written, 5u);
+}
+
+TEST(FlashDeviceTest, BatchAcrossAStoreChunkBoundaryRoundTrips) {
+  // Blocks 30..33 are sectors 240..271: the store's 256-sector chunk
+  // boundary falls between blocks 31 and 32. Each op has its own buffer,
+  // as the cache's flush plans do.
+  FlashHarness h(MathSpec(/*channels=*/4, /*queue_depth=*/32));
+  std::vector<std::vector<uint8_t>> blocks(4,
+                                           std::vector<uint8_t>(blk::kBlockSize));
+  std::vector<blk::WriteOp> ops;
+  for (size_t k = 0; k < blocks.size(); ++k) {
+    for (size_t i = 0; i < blk::kBlockSize; ++i) {
+      blocks[k][i] = static_cast<uint8_t>(k * 31 + i * 7);
+    }
+    ops.push_back({30 + k, blocks[k].data(), 30});
+  }
+  ASSERT_TRUE(h.dev_.WriteBatch(ops).ok());
+  EXPECT_EQ(h.dev_.stats().writes, 1u);  // one coalesced command
+
+  std::vector<uint8_t> back(4 * blk::kBlockSize);
+  ASSERT_TRUE(h.dev_.ReadRun(30, 4, back).ok());
+  std::vector<uint8_t> sector(disk::kSectorSize);
+  for (size_t k = 0; k < blocks.size(); ++k) {
+    EXPECT_TRUE(std::equal(blocks[k].begin(), blocks[k].end(),
+                           back.begin() + k * blk::kBlockSize))
+        << "block " << 30 + k;
+    for (uint32_t s = 0; s < blk::kSectorsPerBlock; ++s) {
+      h.model_.PeekSector((30 + k) * blk::kSectorsPerBlock + s, sector);
+      ASSERT_TRUE(std::equal(sector.begin(), sector.end(),
+                             blocks[k].begin() + s * disk::kSectorSize));
+    }
+  }
+}
+
+TEST(FlashDeviceTest, ReadRunStraddlingIntoUnwrittenChunkReadsZeros) {
+  FlashHarness h(MathSpec(4, 32));
+  std::vector<uint8_t> data(2 * blk::kBlockSize, 0x5e);
+  ASSERT_TRUE(h.dev_.WriteRun(62, 2, data).ok());  // sectors 496..511
+  std::vector<uint8_t> back(4 * blk::kBlockSize, 0xff);
+  ASSERT_TRUE(h.dev_.ReadRun(62, 4, back).ok());   // 64..65 never written
+  for (size_t i = 0; i < back.size(); ++i) {
+    ASSERT_EQ(back[i], i < data.size() ? 0x5e : 0) << "byte " << i;
+  }
+}
+
+TEST(FlashDeviceTest, InjectedErrorInsideMultiBlockReadFails) {
+  FlashHarness h(MathSpec(4, 32));
+  std::vector<uint8_t> buf(3 * blk::kBlockSize);
+  const uint64_t bad = 10 * blk::kSectorsPerBlock + 4;  // 5th sector
+  h.model_.InjectReadError(bad);
+  const Status s = h.dev_.ReadRun(10, 3, buf);
+  EXPECT_EQ(s.code(), ErrorCode::kIoError);
+  EXPECT_NE(s.ToString().find(std::to_string(bad)), std::string::npos);
+  EXPECT_EQ(h.dev_.flash_stats().read_requests, 0u);
+  h.model_.ClearReadError(bad);
+  EXPECT_TRUE(h.dev_.ReadRun(10, 3, buf).ok());
 }
 
 TEST(FlashDeviceTest, BoundsAndBufferChecks) {
