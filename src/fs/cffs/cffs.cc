@@ -717,7 +717,7 @@ Status CffsFileSystem::Unlink(InodeNum dir, std::string_view name) {
     // Name and inode vanish in one atomic sector update — the single
     // ordered write. The image died with the record: drop it from the
     // inode cache so a stale number cannot validate from memory.
-    RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
+    RETURN_IF_ERROR(DirRemove(dir, name, slot, inum));
     TraceMeta(obs::MetaUpdateKind::kInodeFree, slot.bno, inum);
     NoteInodeGone(inum);
     RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
@@ -728,7 +728,7 @@ Status CffsFileSystem::Unlink(InodeNum dir, std::string_view name) {
 
   // Externalized: the conventional ordered writes (name removal, truncate-
   // time inode update, inode deallocation — as in 4.4BSD).
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
+  RETURN_IF_ERROR(DirRemove(dir, name, slot, inum));
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
   if (ino.nlink > 1) {
     --ino.nlink;
@@ -755,7 +755,7 @@ Status CffsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
   ASSIGN_OR_RETURN(bool empty, DirIsEmpty(ino));
   if (!empty) return NotEmpty(std::string(name));
 
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
+  RETURN_IF_ERROR(DirRemove(dir, name, slot, inum));
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
 
   BmapOps ops = MakeBmapOps(inum, &ino);
@@ -898,8 +898,7 @@ Status CffsFileSystem::Rename(InodeNum old_dir, std::string_view old_name,
   // Remove the old name (re-find: the add may have reshaped blocks).
   ASSIGN_OR_RETURN(InodeData od2, GetInode(old_dir));
   ASSIGN_OR_RETURN(DirSlot src2, DirFind(od2, old_name));
-  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2.bno, src2.rec.offset,
-                            inum));
+  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2, inum));
   return SyncMetaBlock(src2.bno, /*order_critical=*/true);
 }
 

@@ -1,7 +1,9 @@
 #include "src/fs/common/allocator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 #include "src/fs/common/bitmap.h"
 
@@ -94,19 +96,21 @@ Result<uint32_t> CgAllocator::AllocInCg(uint32_t cg, uint32_t goal_abs,
     rm = std::move(r);
     resv = rm.data();
   }
-  // Scan forward with wrap, skipping reserved blocks.
-  for (uint32_t n = 0; n < g.blocks; ++n) {
-    const uint32_t bit = (from + n) % g.blocks;
-    if (bit < g.data_start - g.first_block) continue;
-    if (BitGet(bm.data(), bit)) continue;
-    if (!resv.empty() && BitGet(resv, bit)) continue;
-    BitSet(bm.data(), bit);
+  // Scan forward from `from` with wrap, skipping the metadata area and
+  // reserved blocks: [max(from, ds), blocks) first, then [ds, from).
+  const uint32_t ds = g.data_start - g.first_block;
+  const uint32_t start = std::max(from, ds);
+  std::optional<uint32_t> bit =
+      FindFirstClear(bm.data(), start, g.blocks, resv);
+  if (!bit) bit = FindFirstClear(bm.data(), ds, start, resv);
+  if (bit) {
+    BitSet(bm.data(), *bit);
     cache_->MarkDirty(bm);
     TraceMapBit(obs::MetaUpdateKind::kFreeMapAlloc, g.bitmap_block,
-                g.first_block + bit);
+                g.first_block + *bit);
     assert(free_blocks_ > 0);
     --free_blocks_;
-    return g.first_block + bit;
+    return g.first_block + *bit;
   }
   return NoSpace("cylinder group full");
 }
@@ -198,17 +202,19 @@ Result<uint32_t> CgAllocator::SweepIdleReservations() {
     ASSIGN_OR_RETURN(cache::BufferRef bm, cache_->Get(g.bitmap_block));
     ASSIGN_OR_RETURN(cache::BufferRef rm, cache_->Get(g.resv_block));
     bool dirtied = false;
-    for (uint32_t w = 0; w + g.resv_align <= g.blocks; w += g.resv_align) {
-      bool reserved = false, used = false;
-      for (uint32_t i = 0; i < g.resv_align; ++i) {
-        reserved |= BitGet(rm.data(), w + i) != 0;
-        used |= BitGet(bm.data(), w + i) != 0;
-        if (used) break;
+    // Visit only windows holding a reservation bit; release those with no
+    // used block.
+    const uint32_t a = g.resv_align;
+    const uint32_t end = g.blocks / a * a;
+    uint32_t w = 0;
+    while (std::optional<uint32_t> r = FindFirstSet(rm.data(), w, end)) {
+      w = *r / a * a;
+      if (!FindFirstSet(bm.data(), w, w + a)) {
+        for (uint32_t i = 0; i < a; ++i) BitClear(rm.data(), w + i);
+        dirtied = true;
+        ++released;
       }
-      if (!reserved || used) continue;
-      for (uint32_t i = 0; i < g.resv_align; ++i) BitClear(rm.data(), w + i);
-      dirtied = true;
-      ++released;
+      w += a;
     }
     if (dirtied) {
       cache_->MarkDirty(rm);
@@ -235,25 +241,27 @@ Result<uint32_t> CgAllocator::AllocExtent(uint32_t cg, uint32_t run,
     ASSIGN_OR_RETURN(cache::BufferRef bm, cache_->Get(g.bitmap_block));
     ASSIGN_OR_RETURN(cache::BufferRef rm, cache_->Get(g.resv_block));
     // A candidate run must be free in BOTH bitmaps. Scan aligned starts
-    // beyond the metadata area.
-    const uint32_t lo = g.data_start - g.first_block;
+    // beyond the metadata area; a busy bit rules out every aligned start
+    // up to it, so resume at the next free, unreserved bit.
     const uint32_t hi = g.blocks;
-    uint32_t start = ((lo + align - 1) / align) * align;
-    for (uint32_t s = start; s + run <= hi; s += align) {
-      bool ok = true;
-      for (uint32_t i = 0; i < run; ++i) {
-        if (s + i < lo || BitGet(bm.data(), s + i) ||
-            BitGet(rm.data(), s + i)) {
-          ok = false;
-          break;
-        }
+    const auto align_up = [align](uint32_t b) {
+      return (b + align - 1) / align * align;
+    };
+    uint32_t s = align_up(g.data_start - g.first_block);
+    while (s + run <= hi) {
+      const std::optional<uint32_t> busy =
+          FindFirstSet(bm.data(), s, s + run, rm.data());
+      if (!busy) {
+        for (uint32_t i = 0; i < run; ++i) BitSet(rm.data(), s + i);
+        cache_->MarkDirty(rm);
+        TraceMapBit(obs::MetaUpdateKind::kResvUpdate, g.resv_block,
+                    g.first_block + s);
+        return g.first_block + s;
       }
-      if (!ok) continue;
-      for (uint32_t i = 0; i < run; ++i) BitSet(rm.data(), s + i);
-      cache_->MarkDirty(rm);
-      TraceMapBit(obs::MetaUpdateKind::kResvUpdate, g.resv_block,
-                  g.first_block + s);
-      return g.first_block + s;
+      const std::optional<uint32_t> next =
+          FindFirstClear(bm.data(), *busy + 1, hi, rm.data());
+      if (!next) break;
+      s = align_up(*next);
     }
   }
   }
@@ -264,17 +272,16 @@ Result<uint32_t> CgAllocator::AllocInExtent(uint32_t start, uint32_t len) {
   const uint32_t cg = CgOf(start);
   const CgLayout& g = groups_[cg];
   ASSIGN_OR_RETURN(cache::BufferRef bm, cache_->Get(g.bitmap_block));
-  for (uint32_t i = 0; i < len; ++i) {
-    const uint32_t bit = start - g.first_block + i;
-    if (!BitGet(bm.data(), bit)) {
-      BitSet(bm.data(), bit);
-      cache_->MarkDirty(bm);
-      TraceMapBit(obs::MetaUpdateKind::kFreeMapAlloc, g.bitmap_block,
-                  start + i);
-      assert(free_blocks_ > 0);
-      --free_blocks_;
-      return start + i;
-    }
+  const uint32_t first = start - g.first_block;
+  if (std::optional<uint32_t> bit =
+          FindFirstClear(bm.data(), first, first + len)) {
+    BitSet(bm.data(), *bit);
+    cache_->MarkDirty(bm);
+    TraceMapBit(obs::MetaUpdateKind::kFreeMapAlloc, g.bitmap_block,
+                g.first_block + *bit);
+    assert(free_blocks_ > 0);
+    --free_blocks_;
+    return g.first_block + *bit;
   }
   return NoSpace("group extent full");
 }
@@ -283,10 +290,8 @@ Result<bool> CgAllocator::ExtentIdle(uint32_t start, uint32_t len) {
   const uint32_t cg = CgOf(start);
   const CgLayout& g = groups_[cg];
   ASSIGN_OR_RETURN(cache::BufferRef bm, cache_->Get(g.bitmap_block));
-  for (uint32_t i = 0; i < len; ++i) {
-    if (BitGet(bm.data(), start - g.first_block + i)) return false;
-  }
-  return true;
+  const uint32_t first = start - g.first_block;
+  return !FindFirstSet(bm.data(), first, first + len);
 }
 
 Status CgAllocator::ReleaseExtent(uint32_t start, uint32_t len) {
@@ -310,10 +315,8 @@ Result<bool> CgAllocator::ExtentReserved(uint32_t start, uint32_t len) {
     return false;
   }
   ASSIGN_OR_RETURN(cache::BufferRef rm, cache_->Get(g.resv_block));
-  for (uint32_t i = 0; i < len; ++i) {
-    if (!BitGet(rm.data(), start - g.first_block + i)) return false;
-  }
-  return true;
+  const uint32_t first = start - g.first_block;
+  return !FindFirstClear(rm.data(), first, first + len);
 }
 
 Status CgAllocator::Free(uint32_t bno) {

@@ -121,7 +121,6 @@ class CgAllocator {
   // bitmaps, so stale entries cost a probe, never correctness.
   std::vector<std::vector<BlockRun>> free_runs_;
   uint64_t free_blocks_ = 0;
-  uint32_t rotor_ = 0;  // round-robin over cylinder groups
   obs::TraceRecorder* trace_ = nullptr;
   const uint64_t* op_id_ = nullptr;
   SimClock* clock_ = nullptr;

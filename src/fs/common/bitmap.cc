@@ -1,37 +1,47 @@
 #include "src/fs/common/bitmap.h"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cstring>
+
 namespace cffs::fs {
 
-std::optional<uint32_t> FindClearBit(std::span<const uint8_t> buf,
-                                     uint32_t limit, uint32_t from) {
-  if (limit == 0) return std::nullopt;
-  if (from >= limit) from = 0;
-  for (uint32_t n = 0; n < limit; ++n) {
-    const uint32_t bit = (from + n) % limit;
-    if (!BitGet(buf, bit)) return bit;
+namespace {
+
+// Bits [64w, 64w+64) of `buf` as one little-endian word (bit i of the word
+// is BitGet(buf, 64w + i)). Only the bytes up to `end_byte` are read; the
+// rest of the word is zero.
+uint64_t LoadWord(std::span<const uint8_t> buf, uint32_t w, size_t end_byte) {
+  const size_t first = size_t{w} * 8;
+  uint64_t word = 0;
+  std::memcpy(&word, buf.data() + first, std::min<size_t>(8, end_byte - first));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
   }
-  return std::nullopt;
+  return word;
 }
 
-std::optional<uint32_t> FindClearRun(std::span<const uint8_t> buf,
-                                     uint32_t limit, uint32_t from,
-                                     uint32_t run, uint32_t align) {
-  if (run == 0 || limit < run) return std::nullopt;
-  if (align == 0) align = 1;
-  const uint32_t nstarts = limit / align;
-  if (nstarts == 0) return std::nullopt;
-  const uint32_t first = (from / align) % nstarts;
-  for (uint32_t n = 0; n < nstarts; ++n) {
-    const uint32_t s = ((first + n) % nstarts) * align;
-    if (s + run > limit) continue;
-    bool ok = true;
-    for (uint32_t i = 0; i < run; ++i) {
-      if (BitGet(buf, s + i)) {
-        ok = false;
-        break;
-      }
+}  // namespace
+
+std::optional<uint32_t> FindFirstBit(std::span<const uint8_t> bits,
+                                     uint32_t lo, uint32_t hi, bool value,
+                                     std::span<const uint8_t> also) {
+  if (lo >= hi) return std::nullopt;
+  const size_t end_byte = (size_t{hi} + 7) / 8;
+  assert(end_byte <= bits.size());
+  assert(also.empty() || end_byte <= also.size());
+  const uint32_t last = (hi - 1) / 64;
+  for (uint32_t w = lo / 64; w <= last; ++w) {
+    uint64_t word = LoadWord(bits, w, end_byte);
+    if (!also.empty()) word |= LoadWord(also, w, end_byte);
+    // Candidates are the bits equal to `value`, limited to [lo, hi).
+    uint64_t hits = value ? word : ~word;
+    if (w == lo / 64) hits &= ~uint64_t{0} << (lo % 64);
+    if (w == last && hi % 64 != 0) hits &= ~(~uint64_t{0} << (hi % 64));
+    if (hits != 0) {
+      return w * 64 + static_cast<uint32_t>(std::countr_zero(hits));
     }
-    if (ok) return s;
   }
   return std::nullopt;
 }

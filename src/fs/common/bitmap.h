@@ -20,16 +20,29 @@ inline void BitClear(std::span<uint8_t> buf, uint32_t bit) {
   buf[bit >> 3] = static_cast<uint8_t>(buf[bit >> 3] & ~(1u << (bit & 7)));
 }
 
-// First clear bit in [from, limit), scanning with wrap-around from `from`
-// back through [0, from). nullopt if all set.
-std::optional<uint32_t> FindClearBit(std::span<const uint8_t> buf,
-                                     uint32_t limit, uint32_t from);
+// The first bit in [lo, hi) whose value, OR'd with the same bit of `also`
+// when `also` is non-empty, equals `value`; nullopt if there is none. The
+// scan reads 64 bits per step and never touches a byte past bit hi-1, so
+// [lo, hi) must lie inside `bits` (and inside `also`, if given).
+std::optional<uint32_t> FindFirstBit(std::span<const uint8_t> bits,
+                                     uint32_t lo, uint32_t hi, bool value,
+                                     std::span<const uint8_t> also = {});
 
-// First run of `run` consecutive clear bits whose start is aligned to
-// `align`, searching [from, limit) then wrapping. nullopt if none.
-std::optional<uint32_t> FindClearRun(std::span<const uint8_t> buf,
-                                     uint32_t limit, uint32_t from,
-                                     uint32_t run, uint32_t align);
+// First bit in [lo, hi) clear in `bits` and, if given, also clear in
+// `also` — a free block that is not reserved, when `also` is the
+// reservation bitmap.
+inline std::optional<uint32_t> FindFirstClear(
+    std::span<const uint8_t> bits, uint32_t lo, uint32_t hi,
+    std::span<const uint8_t> also = {}) {
+  return FindFirstBit(bits, lo, hi, /*value=*/false, also);
+}
+
+// First bit in [lo, hi) set in `bits` or, if given, set in `also`.
+inline std::optional<uint32_t> FindFirstSet(
+    std::span<const uint8_t> bits, uint32_t lo, uint32_t hi,
+    std::span<const uint8_t> also = {}) {
+  return FindFirstBit(bits, lo, hi, /*value=*/true, also);
+}
 
 // Number of set bits in [0, limit).
 uint32_t CountSetBits(std::span<const uint8_t> buf, uint32_t limit);

@@ -442,14 +442,18 @@ Result<DirIndexCache::Index*> FsBase::BuildDirIndex(const InodeData& dir) {
   DirIndexCache::Index index;
   const BmapOps ops = MakeReadOnlyBmapOps();
   const uint64_t nblocks = dir.BlockCount();
+  index.max_free.assign(nblocks, 0);
   for (uint64_t i = 0; i < nblocks; ++i) {
     ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, dir, i));
     if (bno == 0) continue;
     ASSIGN_OR_RETURN(cache::BufferRef buf, DirBlockGet(dir, bno));
+    uint16_t& max_free = index.max_free[i];
     RETURN_IF_ERROR(ForEachDirRecord(buf.data(), [&](const DirRecord& r) {
       if (r.kind != kFreeRecord) {
         index.by_name[std::string(r.name)] =
             DirEntryLoc{i, bno, r.offset};
+      } else {
+        max_free = std::max(max_free, r.rec_len);
       }
       return true;
     }));
@@ -530,14 +534,27 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
                                        InodeNum inum,
                                        const InodeData* embedded,
                                        bool* dir_dirtied) {
-  if (name.size() > kMaxNameLen) return NameTooLong(std::string(name));
+  if (name.empty() || name.size() > kMaxNameLen) {
+    return NameTooLong(std::string(name));
+  }
   BmapOps ops = MakeBmapOps(dir_num, dir);
   const uint64_t nblocks = dir->BlockCount();
+  const uint16_t need = DirRecordSpace(name.size(), kind == kEmbeddedRecord);
+  // The index's free-space bounds let the walk skip blocks that cannot
+  // hold the record. Every block is still fetched, so the buffer cache
+  // sees the same touches as the plain walk.
+  std::vector<uint16_t>* max_free = nullptr;
+  if (name_cache_enabled_) {
+    DirIndexCache::Index* idx = name_cache_.dir_indexes.Peek(dir_num);
+    if (idx != nullptr) max_free = &idx->max_free;
+  }
 
   for (uint64_t i = 0; i < nblocks; ++i) {
     ASSIGN_OR_RETURN(uint32_t bno, BmapRead(ops, *dir, i));
     if (bno == 0) continue;
     ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
+    const bool bounded = max_free != nullptr && i < max_free->size();
+    if (bounded && (*max_free)[i] < need) continue;
     Result<DirRecord> rec = AddDirEntry(buf.data(), name, kind, inum, embedded);
     if (rec.ok()) {
       cache_->MarkDirty(buf);
@@ -564,6 +581,9 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
       return slot;
     }
     if (rec.status().code() != ErrorCode::kNoSpace) return rec.status();
+    // Every free record is shorter than `need`, and rec_lens are
+    // multiples of 8.
+    if (bounded) (*max_free)[i] = static_cast<uint16_t>(need - 8);
   }
 
   // Extend the directory with a fresh block.
@@ -585,6 +605,7 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
   if (name_cache_enabled_) {
     name_cache_.dir_indexes.Add(dir_num, name,
                                 DirEntryLoc{nblocks, bno, rec.offset});
+    name_cache_.dir_indexes.NoteBlockFreed(dir_num, nblocks);
     name_cache_.dentries.Erase(dir_num, name);
   }
   DirSlot slot;
@@ -595,14 +616,15 @@ Result<FsBase::DirSlot> FsBase::DirAdd(InodeNum dir_num, InodeData* dir,
   return slot;
 }
 
-Status FsBase::DirRemove(InodeNum dir_num, std::string_view name, uint32_t bno,
-                         uint16_t offset, InodeNum inum) {
-  ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(bno));
-  RETURN_IF_ERROR(RemoveDirEntry(buf.data(), offset));
+Status FsBase::DirRemove(InodeNum dir_num, std::string_view name,
+                         const DirSlot& slot, InodeNum inum) {
+  ASSIGN_OR_RETURN(cache::BufferRef buf, cache_->Get(slot.bno));
+  RETURN_IF_ERROR(RemoveDirEntry(buf.data(), slot.rec.offset));
   cache_->MarkDirty(buf);
-  TraceMeta(obs::MetaUpdateKind::kDentryRemove, bno, inum, dir_num);
+  TraceMeta(obs::MetaUpdateKind::kDentryRemove, slot.bno, inum, dir_num);
   if (name_cache_enabled_) {
     name_cache_.dir_indexes.Remove(dir_num, name);
+    name_cache_.dir_indexes.NoteBlockFreed(dir_num, slot.file_idx);
     // A lookup-after-unlink answers kNotFound without touching the
     // directory again.
     name_cache_.dentries.PutNegative(dir_num, name);

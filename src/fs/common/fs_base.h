@@ -85,6 +85,11 @@ class FsBase : public FileSystem {
   // cached state.
   void set_name_cache_enabled(bool enabled);
   bool name_cache_enabled() const { return name_cache_enabled_; }
+  // The directory's name index if one is built, else nullptr; read-only
+  // and without an LRU touch, for tests that audit the index.
+  const DirIndexCache::Index* PeekDirIndex(InodeNum dir) {
+    return name_cache_.dir_indexes.Peek(dir);
+  }
 
   // Engine-routed readahead (C-FFS group staging + the sequential ramp for
   // both file systems). nullptr falls back to the legacy inline cluster /
@@ -250,14 +255,15 @@ class FsBase : public FileSystem {
                          std::string_view name, uint8_t kind, InodeNum inum,
                          const InodeData* embedded, bool* dir_dirtied);
 
-  // Removes the record for `name` at (bno, offset); marks the block dirty.
-  // Maintains the directory index and installs a NEGATIVE dentry so a
+  // Removes the record for `name` at `slot` (as DirFind returned it);
+  // marks the block dirty. Maintains the directory index (including the
+  // slot block's free-space bound) and installs a NEGATIVE dentry so a
   // lookup-after-unlink answers kNotFound without touching the directory.
   // `inum` is the inode the record named — carried on the kDentryRemove
   // ordering annotation so the checker can pair the removal with the
   // subsequent inode/block frees of the same operation.
-  Status DirRemove(InodeNum dir_num, std::string_view name, uint32_t bno,
-                   uint16_t offset, InodeNum inum);
+  Status DirRemove(InodeNum dir_num, std::string_view name,
+                   const DirSlot& slot, InodeNum inum);
 
   Result<bool> DirIsEmpty(const InodeData& dir);
 

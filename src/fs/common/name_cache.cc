@@ -70,6 +70,11 @@ DirIndexCache::Index* DirIndexCache::Find(InodeNum dir) {
   return &it->second.index;
 }
 
+DirIndexCache::Index* DirIndexCache::Peek(InodeNum dir) {
+  const auto it = map_.find(dir);
+  return it == map_.end() ? nullptr : &it->second.index;
+}
+
 DirIndexCache::Index* DirIndexCache::Install(InodeNum dir, Index index) {
   if (max_dirs_ == 0) return nullptr;
   EraseDir(dir);
@@ -86,15 +91,24 @@ DirIndexCache::Index* DirIndexCache::Install(InodeNum dir, Index index) {
 
 void DirIndexCache::Add(InodeNum dir, std::string_view name,
                         const DirEntryLoc& loc) {
-  const auto it = map_.find(dir);
-  if (it == map_.end()) return;  // no index built; nothing to maintain
-  it->second.index.by_name[std::string(name)] = loc;
+  Index* index = Peek(dir);
+  if (index == nullptr) return;  // no index built; nothing to maintain
+  index->by_name[std::string(name)] = loc;
 }
 
 void DirIndexCache::Remove(InodeNum dir, std::string_view name) {
-  const auto it = map_.find(dir);
-  if (it == map_.end()) return;
-  it->second.index.by_name.erase(std::string(name));
+  Index* index = Peek(dir);
+  if (index == nullptr) return;
+  index->by_name.erase(std::string(name));
+}
+
+void DirIndexCache::NoteBlockFreed(InodeNum dir, uint64_t file_idx) {
+  Index* index = Peek(dir);
+  if (index == nullptr) return;
+  constexpr uint16_t kWholeBlock = static_cast<uint16_t>(kBlockSize);
+  std::vector<uint16_t>& bound = index->max_free;
+  if (file_idx >= bound.size()) bound.resize(file_idx + 1, kWholeBlock);
+  bound[file_idx] = kWholeBlock;
 }
 
 void DirIndexCache::EraseDir(InodeNum dir) {

@@ -21,7 +21,9 @@
 //   index with one full scan and every later DirFind is a single hashed
 //   probe + one block fetch instead of an O(blocks x records) scan. The
 //   index is complete by construction, so a probe miss is an authoritative
-//   kNotFound.
+//   kNotFound. It also keeps, per directory block, an upper bound on the
+//   block's largest free record, so DirAdd can skip the record walk of
+//   blocks that cannot hold the new entry.
 //
 // * InodeCache — bounded LRU of decoded InodeData images keyed by inode
 //   number, refreshed write-through by every StoreInode. An entry must be
@@ -42,6 +44,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "src/fs/common/fs_types.h"
 #include "src/fs/common/inode.h"
@@ -106,17 +109,30 @@ class DirIndexCache {
  public:
   struct Index {
     std::unordered_map<std::string, DirEntryLoc> by_name;
+    // Indexed by file block: never below the rec_len of that block's
+    // largest free record (0 for a hole). Exact when built; DirAdd lowers
+    // it to need-8 when a walk finds no room for a record of `need`
+    // bytes, and a freed record or an appended block raises it to
+    // kBlockSize. Blocks past the end are unknown and always walked.
+    std::vector<uint16_t> max_free;
   };
 
   explicit DirIndexCache(size_t max_dirs) : max_dirs_(max_dirs) {}
 
   // The index for `dir` if one has been built (touches LRU), else nullptr.
   Index* Find(InodeNum dir);
+  // Like Find, but leaves the LRU order alone: a mutation consulting the
+  // index must not change which directory is evicted next (a rebuild
+  // re-reads every directory block through the buffer cache).
+  Index* Peek(InodeNum dir);
   // Registers a freshly built index (evicting the LRU directory if full)
   // and returns it.
   Index* Install(InodeNum dir, Index index);
   void Add(InodeNum dir, std::string_view name, const DirEntryLoc& loc);
   void Remove(InodeNum dir, std::string_view name);
+  // Raises the free-space bound of block `file_idx` to kBlockSize (a record
+  // was freed there, or the block was just appended).
+  void NoteBlockFreed(InodeNum dir, uint64_t file_idx);
   // Drops the whole index for `dir` (deletion, or a detected stale probe).
   void EraseDir(InodeNum dir);
   void Clear();

@@ -201,7 +201,7 @@ Result<InodeNum> FfsFileSystem::AllocInode(InodeNum dir_num, bool is_dir) {
     const uint32_t cg = (home + n) % ncg_;
     ASSIGN_OR_RETURN(cache::BufferRef bm, cache_->Get(InodeBitmapBlock(cg)));
     std::optional<uint32_t> slot =
-        FindClearBit(bm.data(), params_.inodes_per_cg, 0);
+        FindFirstClear(bm.data(), 0, params_.inodes_per_cg);
     if (!slot) continue;
     BitSet(bm.data(), *slot);
     // Inode bitmap updates are delayed, like block bitmaps.
@@ -364,7 +364,7 @@ Status FfsFileSystem::Unlink(InodeNum dir, std::string_view name) {
   if (ino.is_dir()) return IsDirectory(std::string(name));
 
   // Ordered update #1: remove the name before freeing the inode.
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
+  RETURN_IF_ERROR(DirRemove(dir, name, slot, inum));
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
 
   if (ino.nlink > 1) {
@@ -394,7 +394,7 @@ Status FfsFileSystem::Rmdir(InodeNum dir, std::string_view name) {
   ASSIGN_OR_RETURN(bool empty, DirIsEmpty(ino));
   if (!empty) return NotEmpty(std::string(name));
 
-  RETURN_IF_ERROR(DirRemove(dir, name, slot.bno, slot.rec.offset, inum));
+  RETURN_IF_ERROR(DirRemove(dir, name, slot, inum));
   RETURN_IF_ERROR(SyncMetaBlock(slot.bno, /*order_critical=*/true));
 
   BmapOps ops = MakeBmapOps(inum, &ino);
@@ -460,8 +460,7 @@ Status FfsFileSystem::Rename(InodeNum old_dir, std::string_view old_name,
   // two directories are the same.
   ASSIGN_OR_RETURN(InodeData od2, GetInode(old_dir));
   ASSIGN_OR_RETURN(DirSlot src2, DirFind(od2, old_name));
-  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2.bno, src2.rec.offset,
-                            inum));
+  RETURN_IF_ERROR(DirRemove(old_dir, old_name, src2, inum));
   RETURN_IF_ERROR(SyncMetaBlock(src2.bno, /*order_critical=*/true));
 
   ASSIGN_OR_RETURN(InodeData moved, GetInode(inum));

@@ -18,9 +18,11 @@
 // A metric regresses when it is worse than baseline by more than --tol
 // (relative, default 10%) AND by more than an absolute floor (100 us for
 // times, 0.05 for rates/speedups, 8 for counts) — the floor keeps noise in
-// near-zero metrics from tripping the gate. Histogram internals (buckets,
-// max_ns), sample timestamps and schema_version are skipped. Improvements
-// are reported but never fail.
+// near-zero metrics from tripping the gate. --tol=0 is the exact policy
+// for deterministic simulated output: no floors, so any worse gated metric
+// (even one more disk write) is a regression. Histogram internals
+// (buckets, max_ns), sample timestamps and schema_version are skipped.
+// Improvements are reported but never fail.
 //
 // Exit status: 0 = no regressions, 1 = regressions found, 2 = bad
 // invocation or unreadable/unparseable input.
@@ -92,7 +94,8 @@ bool SkippedKey(const std::string& key) {
          key == "ts_ns" || key == "time_series" || key == "samples";
 }
 
-// Absolute regression floor per metric flavor (see file comment).
+// Absolute regression floor per metric flavor (see file comment); not
+// applied under --tol=0.
 double AbsFloor(const std::string& key, const std::string& path) {
   if (EndsWith(key, "_ns")) return 100e3;  // 100 us
   if (EndsWith(key, "_s") || EndsWith(key, "seconds")) return 100e-6;
@@ -125,7 +128,8 @@ void CompareMetric(const std::string& key, const obs::Json& base,
   const double worse = higher_better ? b - c : c - b;
   const double rel =
       b != 0 ? worse / std::abs(b) : (worse > 0 ? 1.0 : 0.0);
-  if (worse > AbsFloor(key, path) && rel > st->opts->tol) {
+  const double floor = st->opts->tol > 0 ? AbsFloor(key, path) : 0;
+  if (worse > floor && rel > st->opts->tol) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "%s: %s: %.6g -> %.6g (%+.1f%% %s)", st->report.c_str(),
