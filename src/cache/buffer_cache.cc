@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace cffs::cache {
 
 BufferRef& BufferRef::operator=(BufferRef&& other) noexcept {
@@ -27,20 +34,62 @@ void BufferRef::Release() {
 }
 
 BufferCache::BufferCache(blk::BlockDevice* dev, size_t capacity_blocks)
-    : dev_(dev), capacity_(capacity_blocks) {
+    : dev_(dev),
+      capacity_(capacity_blocks),
+      by_bno_(capacity_blocks),
+      by_lid_(capacity_blocks) {
   assert(capacity_ >= 8);
 }
 
-Buffer* BufferCache::FindResident(uint64_t bno) {
-  auto it = buffers_.find(bno);
-  return it == buffers_.end() ? nullptr : it->second.get();
+BufferCache::~BufferCache() {
+  for (Buffer* buf = free_; buf != nullptr; buf = buf->lru_next_) {
+    ASAN_UNPOISON_MEMORY_REGION(buf->data_.get(), blk::kBlockSize);
+  }
 }
 
-void BufferCache::Touch(Buffer* buf) {
-  if (buf->in_lru_) lru_.erase(buf->lru_pos_);
-  lru_.push_front(buf->bno_);
-  buf->lru_pos_ = lru_.begin();
-  buf->in_lru_ = true;
+Buffer* BufferCache::InsertNew(uint64_t bno) {
+  Buffer* buf = free_;
+  if (buf != nullptr) {
+    free_ = buf->lru_next_;
+    ASAN_UNPOISON_MEMORY_REGION(buf->data_.get(), blk::kBlockSize);
+    // Rebuilding from the constructor resets every field to its default.
+    *buf = Buffer(bno, std::move(buf->data_));
+  } else {
+    pool_.push_back(std::unique_ptr<Buffer>(
+        new Buffer(bno, std::make_unique<uint8_t[]>(blk::kBlockSize))));
+    buf = pool_.back().get();
+  }
+  by_bno_.Put(bno, buf);
+  lru_.PushFront(buf);
+  return buf;
+}
+
+void BufferCache::PushFree(Buffer* buf) {
+  assert(buf->pins_ == 0);
+  buf->lru_next_ = free_;
+  free_ = buf;
+  ASAN_POISON_MEMORY_REGION(buf->data_.get(), blk::kBlockSize);
+}
+
+void BufferCache::Remove(Buffer* buf) {
+  if (buf->has_lid_) by_lid_.EraseIf(buf->lid_, buf);
+  by_bno_.EraseIf(buf->bno_, buf);
+  lru_.Remove(buf);
+  PushFree(buf);
+}
+
+void BufferCache::RemoveAll() {
+  for (Buffer* buf = lru_.front(); buf != nullptr;) {
+    Buffer* older = buf->lru_next_;
+    NoteStagedDropped(buf);
+    PushFree(buf);
+    buf = older;
+  }
+  lru_.Clear();
+  by_bno_.Clear();
+  by_lid_.Clear();
+  dirty_fifo_.clear();
+  dirty_.clear();
 }
 
 BufferRef BufferCache::Pin(Buffer* buf) {
@@ -77,9 +126,13 @@ void BufferCache::SetDirty(Buffer* buf, bool dirty) {
   if (dirty) {
     buf->dirty_since_ns_ = dev_->disk()->now().nanos();
     dirty_fifo_.emplace_back(buf->bno_, buf->dirty_since_ns_);
-    dirty_index_.emplace(buf->bno_, buf);
+    buf->dirty_pos_ = dirty_.size();
+    dirty_.push_back(buf);
   } else {
-    dirty_index_.erase(buf->bno_);
+    Buffer* last = dirty_.back();
+    last->dirty_pos_ = buf->dirty_pos_;
+    dirty_[buf->dirty_pos_] = last;
+    dirty_.pop_back();
   }
 }
 
@@ -110,24 +163,20 @@ int64_t BufferCache::oldest_dirty_ns() {
   return -1;
 }
 
-Status BufferCache::EvictIfNeeded() {
+Status BufferCache::EvictIfNeeded(std::span<uint8_t> run,
+                                  uint64_t run_start) {
   // High-watermark write-back (the role of the update daemon): when a
   // quarter of the cache is dirty and we need space, flush everything in
   // one scheduled, clustered batch instead of dribbling single-block
   // eviction writes.
-  if (buffers_.size() >= capacity_ && dirty_count() >= capacity_ / 4) {
+  if (size() >= capacity_ && dirty_count() >= capacity_ / 4) {
     RETURN_IF_ERROR(SyncAll());
   }
-  while (buffers_.size() >= capacity_) {
+  while (size() >= capacity_) {
     // Walk from the LRU end for an unpinned victim.
-    Buffer* victim = nullptr;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      Buffer* b = FindResident(*it);
-      assert(b != nullptr);
-      if (b->pins_ == 0) {
-        victim = b;
-        break;
-      }
+    Buffer* victim = lru_.back();
+    while (victim != nullptr && victim->pins_ != 0) {
+      victim = lru_.Newer(victim);
     }
     if (victim == nullptr) {
       // Everything pinned: allow temporary over-capacity rather than fail.
@@ -146,21 +195,18 @@ Status BufferCache::EvictIfNeeded() {
       ++stats_.writebacks;
       SetDirty(victim, false);
     }
+    // A run being inserted was read before this victim's newer contents
+    // reached the disk; keep them for when the run reaches this block.
+    if (victim->bno_ >= run_start &&
+        victim->bno_ - run_start < run.size() / blk::kBlockSize) {
+      std::memcpy(run.data() + (victim->bno_ - run_start) * blk::kBlockSize,
+                  victim->data_.get(), blk::kBlockSize);
+    }
     NoteStagedDropped(victim);
     ++stats_.evictions;
-    if (victim->has_lid_) logical_index_.erase(victim->lid_);
-    lru_.erase(victim->lru_pos_);
-    buffers_.erase(victim->bno_);
+    Remove(victim);
   }
   return OkStatus();
-}
-
-Buffer* BufferCache::InsertNew(uint64_t bno) {
-  auto buf = std::unique_ptr<Buffer>(new Buffer(bno));
-  Buffer* raw = buf.get();
-  buffers_.emplace(bno, std::move(buf));
-  Touch(raw);
-  return raw;
 }
 
 Result<BufferRef> BufferCache::Get(uint64_t bno) {
@@ -178,8 +224,7 @@ Result<BufferRef> BufferCache::Get(uint64_t bno) {
   Buffer* buf = InsertNew(bno);
   Status s = dev_->ReadBlock(bno, buf->data());
   if (!s.ok()) {
-    lru_.erase(buf->lru_pos_);
-    buffers_.erase(bno);
+    Remove(buf);
     return s;
   }
   return Pin(buf);
@@ -218,10 +263,8 @@ Result<BufferRef> BufferCache::Lookup(uint64_t bno) {
 }
 
 Result<BufferRef> BufferCache::LookupLogical(LogicalId id) {
-  auto it = logical_index_.find(id);
-  if (it == logical_index_.end()) return NotFound("logical id not resident");
-  Buffer* buf = FindResident(it->second);
-  assert(buf != nullptr);
+  Buffer* buf = by_lid_.Find(id);
+  if (buf == nullptr) return NotFound("logical id not resident");
   ++stats_.logical_hits;
   return Pin(buf);
 }
@@ -231,16 +274,18 @@ void BufferCache::Bind(BufferRef& ref, LogicalId id) {
   assert(buf != nullptr);
   if (buf->has_lid_) {
     if (buf->lid_ == id) return;
-    logical_index_.erase(buf->lid_);
+    by_lid_.EraseIf(buf->lid_, buf);
   }
   buf->lid_ = id;
   buf->has_lid_ = true;
-  logical_index_[id] = buf->bno_;
+  if (Buffer* old = by_lid_.Put(id, buf)) old->has_lid_ = false;
 }
 
 Status BufferCache::ReadGroup(uint64_t start_bno, uint32_t count) {
   if (count == 0) return InvalidArgument("empty group read");
-  std::vector<uint8_t> raw(static_cast<size_t>(count) * blk::kBlockSize);
+  const size_t bytes = static_cast<size_t>(count) * blk::kBlockSize;
+  if (group_scratch_.size() < bytes) group_scratch_.resize(bytes);
+  const std::span<uint8_t> raw(group_scratch_.data(), bytes);
   if (trace_) {
     obs::TraceEvent e;
     e.kind = obs::EventKind::kGroupRead;
@@ -251,21 +296,8 @@ Status BufferCache::ReadGroup(uint64_t start_bno, uint32_t count) {
   }
   RETURN_IF_ERROR(dev_->ReadRun(start_bno, count, raw));
   ++stats_.group_reads;
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint64_t bno = start_bno + i;
-    if (FindResident(bno) != nullptr) {
-      continue;  // resident copy is as new or newer (possibly dirty)
-    }
-    RETURN_IF_ERROR(EvictIfNeeded());
-    Buffer* buf = InsertNew(bno);
-    std::memcpy(buf->data().data(),
-                raw.data() + static_cast<size_t>(i) * blk::kBlockSize,
-                blk::kBlockSize);
-    // Blocks fetched as a group also flush as that group.
-    buf->flush_unit_ = start_bno;
-    ++stats_.group_blocks;
-  }
-  return OkStatus();
+  return InsertBlocks(start_bno, count, raw, /*group=*/true,
+                      /*stage=*/false, /*demand_bno=*/0);
 }
 
 void BufferCache::MarkDirty(BufferRef& ref) {
@@ -289,11 +321,15 @@ Status BufferCache::SyncBlock(uint64_t bno) {
 
 std::vector<blk::WriteOp> BufferCache::BuildFlushPlan() {
   std::vector<blk::WriteOp> ops;
-  if (dirty_index_.empty()) return ops;
-  ops.reserve(dirty_index_.size());
-  for (const auto& [bno, buf] : dirty_index_) {
-    ops.push_back({bno, buf->data().data(), buf->flush_unit_});
+  if (dirty_.empty()) return ops;
+  ops.reserve(dirty_.size());
+  for (const Buffer* buf : dirty_) {
+    ops.push_back({buf->bno_, buf->data_.get(), buf->flush_unit_});
   }
+  std::sort(ops.begin(), ops.end(),
+            [](const blk::WriteOp& a, const blk::WriteOp& b) {
+              return a.bno < b.bno;
+            });
 
   // Group write units go to disk whole: when two dirty blocks of the same
   // unit have a small gap between them and every gap block is resident
@@ -369,29 +405,37 @@ std::vector<BufferCache::DirtyBlock> BufferCache::FlushPlanBlocks() {
 }
 
 Status BufferCache::InsertRun(uint64_t start_bno, uint32_t count,
-                              std::span<const uint8_t> data,
-                              uint64_t demand_bno, bool count_as_group) {
+                              std::span<uint8_t> data, uint64_t demand_bno,
+                              bool count_as_group) {
   if (count == 0) return InvalidArgument("empty run insert");
   if (data.size() < static_cast<size_t>(count) * blk::kBlockSize) {
     return InvalidArgument("run insert data too short");
   }
   if (count_as_group) ++stats_.group_reads;
+  return InsertBlocks(start_bno, count,
+                      data.first(static_cast<size_t>(count) * blk::kBlockSize),
+                      count_as_group, /*stage=*/true, demand_bno);
+}
+
+Status BufferCache::InsertBlocks(uint64_t start_bno, uint32_t count,
+                                 std::span<uint8_t> data, bool group,
+                                 bool stage, uint64_t demand_bno) {
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t bno = start_bno + i;
     if (FindResident(bno) != nullptr) {
       continue;  // resident copy is as new or newer (possibly dirty)
     }
-    RETURN_IF_ERROR(EvictIfNeeded());
+    RETURN_IF_ERROR(EvictIfNeeded(data, start_bno));
     Buffer* buf = InsertNew(bno);
     std::memcpy(buf->data().data(),
                 data.data() + static_cast<size_t>(i) * blk::kBlockSize,
                 blk::kBlockSize);
-    if (count_as_group) {
+    if (group) {
       // Blocks fetched as a group also flush as that group.
       buf->flush_unit_ = start_bno;
       ++stats_.group_blocks;
     }
-    if (bno != demand_bno) {
+    if (stage && bno != demand_bno) {
       buf->staged_ = true;
       ++stats_.readahead_staged;
     }
@@ -405,50 +449,34 @@ void BufferCache::Invalidate(uint64_t bno) {
   assert(buf->pins_ == 0 && "cannot invalidate a pinned buffer");
   NoteStagedDropped(buf);
   if (buf->dirty_) SetDirty(buf, false);
-  if (buf->has_lid_) logical_index_.erase(buf->lid_);
-  lru_.erase(buf->lru_pos_);
-  buffers_.erase(bno);
+  Remove(buf);
 }
 
 size_t BufferCache::CrashDropAll() {
   const size_t lost = dirty_count();
-  for (auto& [bno, buf] : buffers_) {
-    assert(buf->pins_ == 0);
-    NoteStagedDropped(buf.get());
-    (void)bno;
-  }
-  buffers_.clear();
-  logical_index_.clear();
-  lru_.clear();
-  dirty_fifo_.clear();
-  dirty_index_.clear();
+  RemoveAll();
   return lost;
 }
 
 std::vector<BufferCache::DirtyBlock> BufferCache::DirtyBlocks() const {
   std::vector<DirtyBlock> out;
-  out.reserve(dirty_index_.size());
-  for (const auto& [bno, buf] : dirty_index_) {
+  out.reserve(dirty_.size());
+  for (const Buffer* buf : dirty_) {
     DirtyBlock d;
-    d.bno = bno;
+    d.bno = buf->bno_;
     d.data.assign(buf->data_.get(), buf->data_.get() + blk::kBlockSize);
     out.push_back(std::move(d));
   }
+  std::sort(out.begin(), out.end(),
+            [](const DirtyBlock& a, const DirtyBlock& b) {
+              return a.bno < b.bno;
+            });
   return out;
 }
 
 void BufferCache::InvalidateAll() {
-  assert(dirty_index_.empty() && "sync before invalidating the whole cache");
-  for (auto& [bno, buf] : buffers_) {
-    assert(buf->pins_ == 0);
-    NoteStagedDropped(buf.get());
-    (void)bno;
-  }
-  buffers_.clear();
-  logical_index_.clear();
-  lru_.clear();
-  dirty_fifo_.clear();
-  dirty_index_.clear();
+  assert(dirty_.empty() && "sync before invalidating the whole cache");
+  RemoveAll();
 }
 
 }  // namespace cffs::cache

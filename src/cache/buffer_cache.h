@@ -12,24 +12,25 @@
 // when some file lookup touches the block.
 //
 // Buffers are pinned through the RAII BufferRef handle; unpinned buffers are
-// evicted in LRU order, writing dirty victims back first.
+// evicted in LRU order, writing dirty victims back first. Evicted and
+// dropped buffers are recycled, 4 KB array included, so once the cache has
+// filled, a hit, a miss or a group read allocates nothing.
 #ifndef CFFS_CACHE_BUFFER_CACHE_H_
 #define CFFS_CACHE_BUFFER_CACHE_H_
 
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <list>
-#include <map>
 #include <memory>
 #include <utility>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/blockdev/block_device.h"
+#include "src/cache/buffer_table.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
+#include "src/util/intrusive_lru.h"
 #include "src/util/status.h"
 
 namespace cffs::cache {
@@ -48,6 +49,10 @@ struct LogicalIdHash {
     return std::hash<uint64_t>()(id.file * 0x9e3779b97f4a7c15ULL ^
                                  id.block_index);
   }
+};
+
+struct BnoHash {
+  size_t operator()(uint64_t bno) const { return bno; }
 };
 
 // Counter invariants (checked by stats::MetricsSnapshot::CheckInvariants):
@@ -99,8 +104,8 @@ class Buffer {
 
  private:
   friend class BufferCache;
-  explicit Buffer(uint64_t bno)
-      : bno_(bno), data_(new uint8_t[blk::kBlockSize]) {}
+  Buffer(uint64_t bno, std::unique_ptr<uint8_t[]> data)
+      : bno_(bno), data_(std::move(data)) {}
 
   uint64_t bno_;
   std::unique_ptr<uint8_t[]> data_;
@@ -111,8 +116,11 @@ class Buffer {
   bool dirty_ = false;
   bool staged_ = false;
   int pins_ = 0;
-  std::list<uint64_t>::iterator lru_pos_;
-  bool in_lru_ = false;
+  size_t dirty_pos_ = 0;  // index in the cache's dirty set while dirty
+  // Links in the cache's LRU list while resident; lru_next_ also chains
+  // the free list.
+  Buffer* lru_prev_ = nullptr;
+  Buffer* lru_next_ = nullptr;
 };
 
 // RAII pin on a cached buffer. While a BufferRef is live the buffer cannot
@@ -146,11 +154,14 @@ class BufferRef {
 class BufferCache {
  public:
   BufferCache(blk::BlockDevice* dev, size_t capacity_blocks);
+  ~BufferCache();
+  BufferCache(const BufferCache&) = delete;
+  BufferCache& operator=(const BufferCache&) = delete;
 
   blk::BlockDevice* device() { return dev_; }
   size_t capacity() const { return capacity_; }
-  size_t size() const { return buffers_.size(); }
-  size_t dirty_count() const { return dirty_index_.size(); }
+  size_t size() const { return by_bno_.size(); }
+  size_t dirty_count() const { return dirty_.size(); }
   CacheStats& stats() { return stats_; }
 
   // Emits hit/miss/eviction/group-read trace events. nullptr disables.
@@ -174,7 +185,9 @@ class BufferCache {
   // Lookup by logical identity; kNotFound if not resident (no I/O).
   Result<BufferRef> LookupLogical(LogicalId id);
 
-  // Attach a logical identity to a resident buffer (see file comment).
+  // Attach a logical identity to a resident buffer (see file comment). An
+  // identity names one buffer at a time: a buffer that held `id` before
+  // loses it.
   void Bind(BufferRef& ref, LogicalId id);
 
   // Read `count` blocks starting at start_bno with ONE disk command and
@@ -184,13 +197,14 @@ class BufferCache {
 
   // Insert `count` blocks of already-read data (count * kBlockSize bytes,
   // e.g. from an IoEngine read completion) by physical identity. Blocks
-  // already resident keep their cached contents. Inserted blocks other than
-  // `demand_bno` are marked staged for readahead accuracy accounting.
-  // When count_as_group is set the insertion is counted like a ReadGroup
-  // (one group fetch command) in stats().
-  Status InsertRun(uint64_t start_bno, uint32_t count,
-                   std::span<const uint8_t> data, uint64_t demand_bno,
-                   bool count_as_group);
+  // already resident keep their cached contents, also when an eviction
+  // made for an earlier block of the run drops them: their cached contents
+  // are copied over the stale read data in `data` first. Inserted blocks
+  // other than `demand_bno` are marked staged for readahead accuracy
+  // accounting. When count_as_group is set the insertion is counted like a
+  // ReadGroup (one group fetch command) in stats().
+  Status InsertRun(uint64_t start_bno, uint32_t count, std::span<uint8_t> data,
+                   uint64_t demand_bno, bool count_as_group);
 
   void MarkDirty(BufferRef& ref);
 
@@ -210,7 +224,7 @@ class BufferCache {
   // near writes coalesce into one disk command), sorted by block number.
   // Shared by SyncAll() and the syncer's engine-submitted flush epochs.
   // Costs O(d log d) in the d dirty blocks plus the gap probes, whatever
-  // the number of resident clean blocks (it walks the dirty index).
+  // the number of resident clean blocks (it sorts the dirty set).
   // The WriteOps alias buffer memory: the plan is invalidated by any cache
   // mutation and must be issued (or dropped) before the next operation.
   std::vector<blk::WriteOp> BuildFlushPlan();
@@ -255,11 +269,31 @@ class BufferCache {
   std::vector<DirtyBlock> FlushPlanBlocks();
 
  private:
-  Buffer* FindResident(uint64_t bno);
+  Buffer* FindResident(uint64_t bno) const { return by_bno_.Find(bno); }
   // Ensures capacity for one more buffer; evicts LRU unpinned buffers.
-  Status EvictIfNeeded();
+  // While a run is inserted, `run` holds its read data (first block
+  // run_start), and a victim inside the run has its contents, newer than
+  // the read, copied over its slot.
+  Status EvictIfNeeded(std::span<uint8_t> run = {}, uint64_t run_start = 0);
+  // The insert loop of ReadGroup and InsertRun: inserts the blocks of
+  // `data` that are not resident, tagging them with the group's flush unit
+  // when `group`, and marking all but demand_bno staged when `stage`.
+  Status InsertBlocks(uint64_t start_bno, uint32_t count,
+                      std::span<uint8_t> data, bool group, bool stage,
+                      uint64_t demand_bno);
+  // A resident buffer for `bno` with every field reset, taken from the
+  // free list when it has one. Its data is uninitialized.
   Buffer* InsertNew(uint64_t bno);
-  void Touch(Buffer* buf);
+  // Takes a resident buffer out of both indexes and the LRU and puts it on
+  // the free list. Its contents are dropped.
+  void Remove(Buffer* buf);
+  // Drops every resident buffer (counting staged ones as wasted) and
+  // empties both indexes, the LRU and the dirty tracking.
+  void RemoveAll();
+  // Puts an unlinked buffer on the free list; its array is poisoned for
+  // AddressSanitizer until InsertNew takes it back.
+  void PushFree(Buffer* buf);
+  void Touch(Buffer* buf) { lru_.MoveToFront(buf); }
   void Unpin(Buffer* buf);
   BufferRef Pin(Buffer* buf);
   void SetDirty(Buffer* buf, bool dirty);
@@ -279,16 +313,25 @@ class BufferCache {
   obs::TraceRecorder* trace_ = nullptr;
   obs::SpanTracker* spans_ = nullptr;
 
-  std::unordered_map<uint64_t, std::unique_ptr<Buffer>> buffers_;
-  std::unordered_map<LogicalId, uint64_t, LogicalIdHash> logical_index_;
-  std::list<uint64_t> lru_;  // front = most recent
+  // Every buffer the cache ever created; each is resident or free.
+  std::vector<std::unique_ptr<Buffer>> pool_;
+  Buffer* free_ = nullptr;  // singly linked through lru_next_
+  // The dual index: every resident buffer by block number, and every
+  // bound one by its logical identity.
+  BufferTable<uint64_t, BnoHash> by_bno_;
+  BufferTable<LogicalId, LogicalIdHash> by_lid_;
+  IntrusiveLru<Buffer, &Buffer::lru_prev_, &Buffer::lru_next_> lru_;
+  // ReadGroup's landing area for the device read, reused across calls.
+  std::vector<uint8_t> group_scratch_;
   // Clean->dirty transitions in order, drained lazily by oldest_dirty_ns():
   // an entry is stale if its buffer is gone, clean, or re-dirtied later.
   std::deque<std::pair<uint64_t, int64_t>> dirty_fifo_;
-  // Every dirty resident buffer, keyed (and so ordered) by block number.
-  // SetDirty is its only writer, so it always equals the set of dirty
-  // resident buffers; the flush paths walk it instead of buffers_.
-  std::map<uint64_t, Buffer*> dirty_index_;
+  // Every dirty resident buffer, unordered; each knows its slot
+  // (dirty_pos_), so SetDirty adds and removes in O(1) without allocating.
+  // SetDirty is its only writer besides RemoveAll, so it always equals the
+  // set of dirty resident buffers; the flush paths sort it by block number
+  // instead of walking the whole cache.
+  std::vector<Buffer*> dirty_;
 };
 
 }  // namespace cffs::cache

@@ -138,4 +138,18 @@ Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
   return disk;
 }
 
+uint64_t ImageHash(const DiskModel& disk) {
+  constexpr uint64_t kPrime = 1099511628211ull;
+  uint64_t h = 1469598103934665603ull;
+  disk.ForEachChunk([&h](uint64_t chunk_index, std::span<const uint8_t> data) {
+    h ^= chunk_index;
+    h *= kPrime;
+    for (uint8_t b : data) {
+      h ^= b;
+      h *= kPrime;
+    }
+  });
+  return h;
+}
+
 }  // namespace cffs::disk

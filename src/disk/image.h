@@ -9,6 +9,7 @@
 #ifndef CFFS_DISK_IMAGE_H_
 #define CFFS_DISK_IMAGE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -20,6 +21,11 @@ Status SaveDiskImage(const DiskModel& disk, const std::string& path);
 
 Result<std::unique_ptr<DiskModel>> LoadDiskImage(const std::string& path,
                                                  SimClock* clock);
+
+// 64-bit FNV-1a over every allocated chunk of the platter, in chunk order:
+// each chunk's index, then its bytes. Equal contents give equal digests, so
+// tests compare whole images with it.
+uint64_t ImageHash(const DiskModel& disk);
 
 }  // namespace cffs::disk
 

@@ -1,32 +1,40 @@
 #include "src/fs/common/name_cache.h"
 
+#include <iterator>
+
 namespace cffs::fs {
 
 // --- DentryCache ---
 
 const DentryCache::Entry* DentryCache::Lookup(InodeNum dir,
                                               std::string_view name) {
-  const auto it = map_.find(Key{dir, std::string(name)});
+  const auto it = map_.find(KeyView{dir, name});
   if (it == map_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  lru_.MoveToFront(&it->second);
   return &it->second.entry;
 }
 
 void DentryCache::Put(InodeNum dir, std::string_view name, Entry entry) {
   if (capacity_ == 0) return;
-  Key key{dir, std::string(name)};
-  const auto it = map_.find(key);
+  const auto it = map_.find(KeyView{dir, name});
   if (it != map_.end()) {
     it->second.entry = entry;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    lru_.MoveToFront(&it->second);
     return;
   }
   while (map_.size() >= capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
+    EraseNode(map_.find(*lru_.back()->key));
   }
-  lru_.push_front(key);
-  map_.emplace(std::move(key), Node{entry, lru_.begin()});
+  const auto [added, inserted] =
+      map_.emplace(Key{dir, std::string(name)}, Node{.entry = entry});
+  (void)inserted;
+  added->second.key = &added->first;
+  lru_.PushFront(&added->second);
+}
+
+void DentryCache::EraseNode(Map::iterator it) {
+  lru_.Remove(&it->second);
+  map_.erase(it);
 }
 
 void DentryCache::PutPositive(InodeNum dir, std::string_view name,
@@ -39,26 +47,21 @@ void DentryCache::PutNegative(InodeNum dir, std::string_view name) {
 }
 
 void DentryCache::Erase(InodeNum dir, std::string_view name) {
-  const auto it = map_.find(Key{dir, std::string(name)});
-  if (it == map_.end()) return;
-  lru_.erase(it->second.lru_pos);
-  map_.erase(it);
+  const auto it = map_.find(KeyView{dir, name});
+  if (it != map_.end()) EraseNode(it);
 }
 
 void DentryCache::EraseDir(InodeNum dir) {
   for (auto it = map_.begin(); it != map_.end();) {
-    if (it->first.dir == dir) {
-      lru_.erase(it->second.lru_pos);
-      it = map_.erase(it);
-    } else {
-      ++it;
-    }
+    const auto next = std::next(it);
+    if (it->first.dir == dir) EraseNode(it);
+    it = next;
   }
 }
 
 void DentryCache::Clear() {
   map_.clear();
-  lru_.clear();
+  lru_.Clear();
 }
 
 // --- DirIndexCache ---
@@ -128,7 +131,7 @@ void DirIndexCache::Clear() {
 const InodeData* InodeCache::Lookup(InodeNum num) {
   const auto it = map_.find(num);
   if (it == map_.end()) return nullptr;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  lru_.MoveToFront(&it->second);
   return &it->second.ino;
 }
 
@@ -137,27 +140,30 @@ void InodeCache::Put(InodeNum num, const InodeData& ino) {
   const auto it = map_.find(num);
   if (it != map_.end()) {
     it->second.ino = ino;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    lru_.MoveToFront(&it->second);
     return;
   }
   while (map_.size() >= capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
+    Node* victim = lru_.back();
+    lru_.Remove(victim);
+    map_.erase(InodeNum{victim->num});
   }
-  lru_.push_front(num);
-  map_.emplace(num, Node{ino, lru_.begin()});
+  const auto [added, inserted] =
+      map_.emplace(num, Node{.ino = ino, .num = num});
+  (void)inserted;
+  lru_.PushFront(&added->second);
 }
 
 void InodeCache::Erase(InodeNum num) {
   const auto it = map_.find(num);
   if (it == map_.end()) return;
-  lru_.erase(it->second.lru_pos);
+  lru_.Remove(&it->second);
   map_.erase(it);
 }
 
 void InodeCache::Clear() {
   map_.clear();
-  lru_.clear();
+  lru_.Clear();
 }
 
 }  // namespace cffs::fs

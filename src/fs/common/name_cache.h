@@ -48,6 +48,7 @@
 
 #include "src/fs/common/fs_types.h"
 #include "src/fs/common/inode.h"
+#include "src/util/intrusive_lru.h"
 
 namespace cffs::fs {
 
@@ -76,24 +77,45 @@ class DentryCache {
   struct Key {
     InodeNum dir;
     std::string name;
-    bool operator==(const Key&) const = default;
+  };
+  // Probes with (dir, string_view), so a lookup builds no std::string.
+  struct KeyView {
+    InodeNum dir;
+    std::string_view name;
   };
   struct KeyHash {
-    size_t operator()(const Key& k) const {
+    using is_transparent = void;
+    size_t operator()(const KeyView& k) const {
       return std::hash<std::string_view>()(k.name) ^
              (std::hash<uint64_t>()(k.dir) * 0x9e3779b97f4a7c15ULL);
     }
+    size_t operator()(const Key& k) const {
+      return (*this)(KeyView{k.dir, k.name});
+    }
   };
+  struct KeyEq {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return a.dir == b.dir && std::string_view(a.name) == b.name;
+    }
+  };
+  // Map nodes never move, so the LRU links through them; `key` points back
+  // at the node's own key, which eviction needs and which is stored once.
   struct Node {
     Entry entry;
-    std::list<Key>::iterator lru_pos;
+    const Key* key = nullptr;
+    Node* lru_prev = nullptr;
+    Node* lru_next = nullptr;
   };
+  using Map = std::unordered_map<Key, Node, KeyHash, KeyEq>;
 
   void Put(InodeNum dir, std::string_view name, Entry entry);
+  void EraseNode(Map::iterator it);
 
   size_t capacity_;
-  std::unordered_map<Key, Node, KeyHash> map_;
-  std::list<Key> lru_;  // front = most recent
+  Map map_;
+  IntrusiveLru<Node, &Node::lru_prev, &Node::lru_next> lru_;
 };
 
 // Location of one directory record; enough to re-read it with a single
@@ -163,14 +185,17 @@ class InodeCache {
   size_t size() const { return map_.size(); }
 
  private:
+  // Map nodes never move, so the LRU links through them.
   struct Node {
     InodeData ino;
-    std::list<InodeNum>::iterator lru_pos;
+    InodeNum num = kInvalidInode;
+    Node* lru_prev = nullptr;
+    Node* lru_next = nullptr;
   };
 
   size_t capacity_;
   std::unordered_map<InodeNum, Node> map_;
-  std::list<InodeNum> lru_;  // front = most recent
+  IntrusiveLru<Node, &Node::lru_prev, &Node::lru_next> lru_;
 };
 
 // The three caches as one per-mount unit with shared sizing defaults.

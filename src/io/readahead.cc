@@ -1,7 +1,7 @@
 #include "src/io/readahead.h"
 
 #include <algorithm>
-#include <vector>
+#include <span>
 
 namespace cffs::io {
 
@@ -46,7 +46,9 @@ Status Readahead::Stage(uint64_t start_bno, uint32_t count,
                         uint64_t demand_bno, bool group) {
   if (count == 0) return InvalidArgument("empty readahead stage");
   stats_.blocks_requested += count;
-  std::vector<uint8_t> raw(static_cast<size_t>(count) * blk::kBlockSize);
+  const size_t bytes = static_cast<size_t>(count) * blk::kBlockSize;
+  if (scratch_.size() < bytes) scratch_.resize(bytes);
+  const std::span<uint8_t> raw(scratch_.data(), bytes);
   engine_->SubmitRead(start_bno, count, raw);
   RETURN_IF_ERROR(engine_->Drain());
   if (trace_) {

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/io/io_engine.h"
@@ -81,6 +82,8 @@ class Readahead {
   ReadaheadStats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   std::unordered_map<uint64_t, Stream> streams_;
+  // Landing area for a stage's device read, reused across stages.
+  std::vector<uint8_t> scratch_;
 };
 
 }  // namespace cffs::io

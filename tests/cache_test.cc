@@ -2,9 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <list>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/disk/disk_model.h"
@@ -125,6 +130,40 @@ TEST_F(CacheTest, RebindMovesLogicalIdentity) {
   a.value().Release();
   EXPECT_FALSE(cache_.LookupLogical({.file = 1, .block_index = 0}).ok());
   EXPECT_TRUE(cache_.LookupLogical({.file = 2, .block_index = 0}).ok());
+}
+
+// A logical identity names one buffer. Binding it to a second buffer takes
+// it from the first, so whatever later happens to the first buffer (it is
+// invalidated, evicted or bound to something else) leaves the second one
+// findable.
+TEST_F(CacheTest, OldHolderLeavingKeepsTheReboundIdentity) {
+  const cache::LogicalId id{.file = 9, .block_index = 0};
+  const cache::LogicalId other{.file = 9, .block_index = 1};
+  enum class Leave { kInvalidate, kEvict, kRebind };
+  for (Leave leave : {Leave::kInvalidate, Leave::kEvict, Leave::kRebind}) {
+    cache::BufferCache cache(&dev_, 16);
+    {
+      auto a = cache.GetZero(10);
+      cache.Bind(*a, id);
+      auto b = cache.GetZero(20);
+      cache.Bind(*b, id);
+      EXPECT_FALSE((*a)->has_logical_id());
+      EXPECT_EQ((*b)->logical_id(), id);
+      if (leave == Leave::kRebind) cache.Bind(*a, other);
+    }
+    if (leave == Leave::kInvalidate) cache.Invalidate(10);
+    if (leave == Leave::kEvict) {
+      // Keep 20 warm while 10 ages out.
+      for (uint64_t b = 100; b < 116; ++b) {
+        cache.Lookup(20).value().Release();
+        cache.GetZero(b).value().Release();
+      }
+      ASSERT_FALSE(cache.Lookup(10).ok());
+    }
+    auto found = cache.LookupLogical(id);
+    ASSERT_TRUE(found.ok()) << static_cast<int>(leave);
+    EXPECT_EQ((*found)->bno(), 20u);
+  }
 }
 
 TEST_F(CacheTest, ReadGroupIsOneDiskCommand) {
@@ -326,6 +365,34 @@ TEST_F(CacheTest, InsertRunStagesOnlyNonDemandBlocks) {
   EXPECT_FALSE(cache_.Lookup(200).value()->staged());
   EXPECT_EQ(cache_.Lookup(202).value()->data()[0], 0x77);
   EXPECT_EQ(cache_.Lookup(201).value()->flush_unit(), 200u);
+}
+
+// A run is read before it is inserted. When inserting its first block
+// evicts a later block of the run that was resident and dirty, the read
+// copy of that block is stale: the insert must keep the evicted contents.
+TEST_F(CacheTest, RunInsertKeepsContentsEvictedDuringTheInsert) {
+  for (bool group_read : {false, true}) {
+    cache::BufferCache cache(&dev_, 8);
+    const uint64_t base = group_read ? 500 : 400;
+    {
+      auto r = cache.GetZero(base + 5);
+      r->data()[0] = 0x77;
+      cache.MarkDirty(*r);
+    }
+    // Fill the cache with clean blocks; block base+5 is the LRU victim and
+    // one dirty block stays under the quarter-dirty sync threshold.
+    for (uint64_t b = 100; b < 107; ++b) cache.GetZero(b).value().Release();
+    std::vector<uint8_t> raw(8 * blk::kBlockSize);  // what the disk held
+    if (group_read) {
+      ASSERT_TRUE(cache.ReadGroup(base, 8).ok());
+    } else {
+      ASSERT_TRUE(cache.InsertRun(base, 8, raw, base, false).ok());
+    }
+    auto r = cache.Lookup(base + 5);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ((*r)->data()[0], 0x77) << "group_read=" << group_read;
+    EXPECT_GE(cache.stats().writebacks, 1u);
+  }
 }
 
 // --- Dirty index: the flush paths walk only the dirty blocks --------------
@@ -538,6 +605,352 @@ TEST_F(CacheTest, GapFillersStayOutOfTheDirtyIndex) {
     cache_.MarkDirty(*r);
   }
   ExpectPlanIsExactly(cache_, {301});
+}
+
+// --- The cache against an LRU model ---------------------------------------
+
+// A test-side model of the cache's policy: residency, LRU order, pins, the
+// logical index, dirty/staged state, block contents and every counter. It
+// mirrors each cache call and predicts the victims, in order.
+class CacheModel {
+ public:
+  struct Buf {
+    uint64_t value = 0;  // stamp held in the block's first and last word
+    uint64_t unit = cache::kNoFlushUnit;
+    std::optional<cache::LogicalId> lid;
+    bool dirty = false;
+    bool staged = false;
+    int pins = 0;
+  };
+
+  explicit CacheModel(size_t capacity) : capacity_(capacity) {}
+
+  cache::CacheStats stats;
+  std::map<uint64_t, Buf> res;
+  std::list<uint64_t> lru;           // front = most recent
+  std::map<uint64_t, uint64_t> disk;  // bno -> stamp on the platter
+  std::vector<std::pair<uint64_t, bool>> victims;  // (bno, dirty)
+
+  bool resident(uint64_t b) const { return res.count(b) != 0; }
+  size_t dirty_count() const {
+    size_t n = 0;
+    for (const auto& [b, buf] : res) n += buf.dirty;
+    return n;
+  }
+  std::optional<uint64_t> holder(cache::LogicalId id) const {
+    for (const auto& [b, buf] : res) {
+      if (buf.lid == id) return b;
+    }
+    return std::nullopt;
+  }
+
+  void Touch(uint64_t b) {
+    lru.remove(b);
+    lru.push_front(b);
+  }
+  void Hit() {
+    ++stats.lookups;
+    ++stats.hits;
+  }
+  void Miss() {
+    ++stats.lookups;
+    ++stats.misses;
+  }
+  void Demand(uint64_t b) {
+    if (!res[b].staged) return;
+    res[b].staged = false;
+    ++stats.readahead_hits;
+  }
+  void Wasted(Buf& buf) {
+    if (!buf.staged) return;
+    buf.staged = false;
+    ++stats.readahead_wasted;
+  }
+  void Drop(uint64_t b) {
+    lru.remove(b);
+    res.erase(b);
+  }
+  void SyncAll() {
+    for (auto& [b, buf] : res) {
+      if (!buf.dirty) continue;
+      buf.dirty = false;
+      disk[b] = buf.value;
+      ++stats.writebacks;
+    }
+  }
+  void EvictIfNeeded() {
+    if (res.size() >= capacity_ && dirty_count() >= capacity_ / 4) SyncAll();
+    while (res.size() >= capacity_) {
+      auto it = std::find_if(lru.rbegin(), lru.rend(),
+                             [&](uint64_t b) { return res[b].pins == 0; });
+      if (it == lru.rend()) return;  // all pinned: run over capacity
+      const uint64_t b = *it;
+      Buf& buf = res[b];
+      victims.push_back({b, buf.dirty});
+      if (buf.dirty) {
+        disk[b] = buf.value;
+        ++stats.writebacks;
+      }
+      Wasted(buf);
+      ++stats.evictions;
+      Drop(b);
+    }
+  }
+  void Insert(uint64_t b, uint64_t value) {
+    Buf buf;
+    buf.value = value;
+    res[b] = buf;
+    lru.push_front(b);
+  }
+
+ private:
+  size_t capacity_;
+};
+
+// Seeded random ops over 64 blocks on a 16-block cache, so every insert
+// after the first few reuses an evicted buffer. After each step the
+// victims, the resident count, the dirty count and every counter must match
+// the model; a periodic audit re-reads every block and compares contents,
+// flush unit, dirty flag and logical identity.
+TEST_F(CacheTest, MatchesAnLruModelUnderRandomOps) {
+  constexpr size_t kCapacity = 16;
+  constexpr uint64_t kBlocks = 64;
+  cache::BufferCache cache(&dev_, kCapacity);
+  obs::TraceRecorder trace;
+  cache.set_trace(&trace);
+  CacheModel model(kCapacity);
+  std::mt19937_64 rng(20260611);
+  std::vector<std::pair<uint64_t, cache::BufferRef>> held;
+  uint64_t next_stamp = 1;
+  size_t peak = 0;
+  bool shrank_after_peak = false;
+
+  auto stamp_of = [](const cache::BufferRef& r) {
+    uint64_t head = 0;
+    uint64_t tail = 0;
+    std::memcpy(&head, r.data().data(), 8);
+    std::memcpy(&tail, r.data().data() + blk::kBlockSize - 8, 8);
+    EXPECT_EQ(head, tail);
+    return head;
+  };
+  auto write_stamp = [](std::span<uint8_t> data, uint64_t v) {
+    std::memcpy(data.data(), &v, 8);
+    std::memcpy(data.data() + blk::kBlockSize - 8, &v, 8);
+  };
+  // Pins hover around the capacity in long phases, so the all-pinned
+  // over-capacity path runs and then drains.
+  auto keep = [&](uint64_t b, cache::BufferRef ref, int step) {
+    const bool hold_phase = (step / 150) % 3 == 2;
+    if (held.size() < 24 && rng() % 10 < (hold_phase ? 9u : 2u)) {
+      ++model.res[b].pins;
+      held.emplace_back(b, std::move(ref));
+    }
+  };
+  auto release_all = [&] {
+    for (auto& [b, ref] : held) --model.res[b].pins;
+    held.clear();
+  };
+  // A freshly inserted buffer carries nothing from its last use.
+  auto expect_fresh = [](const cache::BufferRef& r) {
+    EXPECT_FALSE(r->has_logical_id());
+    EXPECT_EQ(r->flush_unit(), cache::kNoFlushUnit);
+    EXPECT_FALSE(r->staged());
+    EXPECT_FALSE(r->dirty());
+  };
+  auto lookup = [&](uint64_t b, int step) {
+    auto r = cache.Lookup(b);
+    ASSERT_EQ(r.ok(), model.resident(b)) << "block " << b;
+    if (!r.ok()) {
+      model.Miss();
+      return;
+    }
+    model.Hit();
+    model.Demand(b);
+    model.Touch(b);
+    const CacheModel::Buf& want = model.res[b];
+    ASSERT_EQ(stamp_of(*r), want.value) << "block " << b;
+    ASSERT_EQ((*r)->flush_unit(), want.unit) << "block " << b;
+    ASSERT_EQ((*r)->dirty(), want.dirty) << "block " << b;
+    ASSERT_EQ((*r)->has_logical_id(), want.lid.has_value()) << "block " << b;
+    if (want.lid) {
+      ASSERT_EQ((*r)->logical_id(), *want.lid);
+    }
+    keep(b, std::move(*r), step);
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    const uint64_t bno = rng() % kBlocks;
+    const int op = static_cast<int>(rng() % 20);
+    if (op <= 3) {  // read
+      auto r = cache.Get(bno);
+      ASSERT_TRUE(r.ok());
+      if (model.resident(bno)) {
+        model.Hit();
+        model.Demand(bno);
+      } else {
+        expect_fresh(*r);
+        model.Miss();
+        model.EvictIfNeeded();
+        model.Insert(bno, model.disk[bno]);
+      }
+      model.Touch(bno);
+      ASSERT_EQ(stamp_of(*r), model.res[bno].value) << "step " << step;
+      keep(bno, std::move(*r), step);
+    } else if (op <= 6) {  // (re)initialize and write
+      auto r = cache.GetZero(bno);
+      ASSERT_TRUE(r.ok());
+      if (model.resident(bno)) {
+        model.Hit();
+        model.Wasted(model.res[bno]);
+      } else {
+        expect_fresh(*r);
+        model.Miss();
+        model.EvictIfNeeded();
+        model.Insert(bno, 0);
+      }
+      model.Touch(bno);
+      ASSERT_EQ(stamp_of(*r), 0u) << "step " << step;
+      const uint64_t v = next_stamp++;
+      const uint64_t unit = rng() % 3 == 0 ? cache::kNoFlushUnit : bno / 8;
+      write_stamp(r->data(), v);
+      cache.SetFlushUnit(*r, unit);
+      cache.MarkDirty(*r);
+      CacheModel::Buf& buf = model.res[bno];
+      buf.value = v;
+      buf.unit = unit;
+      buf.dirty = true;
+      keep(bno, std::move(*r), step);
+    } else if (op <= 8) {
+      lookup(bno, step);
+    } else if (op <= 10) {  // staged run or group read
+      const uint32_t count = 1 + static_cast<uint32_t>(rng() % 8);
+      const uint64_t start = std::min(bno, kBlocks - count);
+      const uint64_t demand = start + rng() % count;
+      const bool group = rng() % 2 == 0;
+      const bool read_group = rng() % 4 == 0;
+      std::vector<uint8_t> raw(count * blk::kBlockSize);
+      for (uint32_t i = 0; i < count; ++i) {
+        write_stamp({raw.data() + i * blk::kBlockSize, blk::kBlockSize},
+                    model.disk[start + i]);
+      }
+      if (read_group) {
+        ASSERT_TRUE(cache.ReadGroup(start, count).ok());
+      } else {
+        ASSERT_TRUE(
+            cache.InsertRun(start, count, raw, demand, group).ok());
+      }
+      if (group || read_group) ++model.stats.group_reads;
+      for (uint64_t b = start; b < start + count; ++b) {
+        if (model.resident(b)) continue;
+        model.EvictIfNeeded();
+        model.Insert(b, model.disk[b]);
+        if (group || read_group) {
+          model.res[b].unit = start;
+          ++model.stats.group_blocks;
+        }
+        if (!read_group && b != demand) {
+          model.res[b].staged = true;
+          ++model.stats.readahead_staged;
+        }
+      }
+    } else if (op <= 12) {  // release a pin
+      if (!held.empty()) {
+        const size_t i = rng() % held.size();
+        --model.res[held[i].first].pins;
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    } else if (op == 13) {  // bind a pinned buffer; ids collide often
+      if (!held.empty()) {
+        auto& [b, ref] = held[rng() % held.size()];
+        const cache::LogicalId id{.file = rng() % 4, .block_index = rng() % 6};
+        cache.Bind(ref, id);
+        if (model.res[b].lid != id) {
+          if (auto old = model.holder(id)) model.res[*old].lid.reset();
+          model.res[b].lid = id;
+        }
+      }
+    } else if (op == 14) {
+      const cache::LogicalId id{.file = rng() % 4, .block_index = rng() % 6};
+      auto r = cache.LookupLogical(id);
+      const auto want = model.holder(id);
+      ASSERT_EQ(r.ok(), want.has_value()) << "step " << step;
+      if (want) {
+        ASSERT_EQ((*r)->bno(), *want);
+        ++model.stats.logical_hits;
+        model.Touch(*want);
+        keep(*want, std::move(*r), step);
+      }
+    } else if (op == 15) {
+      if (!model.resident(bno) || model.res[bno].pins == 0) {
+        cache.Invalidate(bno);
+        if (model.resident(bno)) {
+          model.Wasted(model.res[bno]);
+          model.Drop(bno);
+        }
+      }
+    } else if (op == 16) {
+      ASSERT_TRUE(cache.SyncAll().ok());
+      model.SyncAll();
+    } else if (op == 17 && rng() % 8 == 0) {  // sync, then a cold cache
+      release_all();
+      ASSERT_TRUE(cache.SyncAll().ok());
+      model.SyncAll();
+      cache.InvalidateAll();
+      for (auto& [b, buf] : model.res) model.Wasted(buf);
+      model.res.clear();
+      model.lru.clear();
+    } else if (op == 18 && rng() % 16 == 0) {  // power loss
+      release_all();
+      ASSERT_EQ(cache.CrashDropAll(), model.dirty_count());
+      for (auto& [b, buf] : model.res) model.Wasted(buf);
+      model.res.clear();
+      model.lru.clear();
+    } else if (op == 19 && step % 7 == 0) {
+      // Audit: visit every block, resident ones from least to most
+      // recently used, which leaves the LRU order as it was.
+      const std::vector<uint64_t> oldest_first(model.lru.rbegin(),
+                                               model.lru.rend());
+      for (uint64_t b : oldest_first) lookup(b, step);
+      for (uint64_t b = 0; b < kBlocks; ++b) {
+        if (!model.resident(b)) lookup(b, step);
+      }
+    }
+    if (HasFatalFailure()) return;
+
+    std::vector<std::pair<uint64_t, bool>> victims;
+    for (const obs::TraceEvent& e : trace.Events()) {
+      if (e.kind == obs::EventKind::kCacheEvict) {
+        victims.push_back({e.a, e.flag});
+      }
+    }
+    trace.Clear();
+    ASSERT_EQ(victims, model.victims) << "step " << step;
+    model.victims.clear();
+    ASSERT_EQ(cache.size(), model.res.size()) << "step " << step;
+    ASSERT_EQ(cache.dirty_count(), model.dirty_count()) << "step " << step;
+    const cache::CacheStats& got = cache.stats();
+    const cache::CacheStats& want = model.stats;
+    ASSERT_EQ(got.lookups, want.lookups) << "step " << step;
+    ASSERT_EQ(got.hits, want.hits) << "step " << step;
+    ASSERT_EQ(got.misses, want.misses) << "step " << step;
+    ASSERT_EQ(got.logical_hits, want.logical_hits) << "step " << step;
+    ASSERT_EQ(got.group_reads, want.group_reads) << "step " << step;
+    ASSERT_EQ(got.group_blocks, want.group_blocks) << "step " << step;
+    ASSERT_EQ(got.writebacks, want.writebacks) << "step " << step;
+    ASSERT_EQ(got.evictions, want.evictions) << "step " << step;
+    ASSERT_EQ(got.readahead_staged, want.readahead_staged) << "step " << step;
+    ASSERT_EQ(got.readahead_hits, want.readahead_hits) << "step " << step;
+    ASSERT_EQ(got.readahead_wasted, want.readahead_wasted) << "step " << step;
+    if (cache.size() > peak) peak = cache.size();
+    if (peak > kCapacity && cache.size() <= kCapacity) shrank_after_peak = true;
+  }
+  // Every path ran: over capacity and back, reuse, and all the counters.
+  EXPECT_GT(peak, kCapacity);
+  EXPECT_TRUE(shrank_after_peak);
+  EXPECT_GT(model.stats.evictions, 1000u);
+  EXPECT_GT(model.stats.logical_hits, 0u);
+  EXPECT_GT(model.stats.readahead_hits, 0u);
+  EXPECT_GT(model.stats.readahead_wasted, 0u);
 }
 
 TEST(BlockDeviceTest, RunBoundsChecked) {

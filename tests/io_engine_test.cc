@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/disk/image.h"
 #include "src/io/io_engine.h"
 #include "src/io/readahead.h"
 #include "src/io/syncer.h"
@@ -289,21 +290,6 @@ TEST(IoEndToEndTest, SyncerBoundsDirtyDataUnderCreateStorm) {
   EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
-// FNV-1a over every allocated chunk of the simulated platter.
-uint64_t DiskImageHash(sim::SimEnv* env) {
-  uint64_t h = 1469598103934665603ull;
-  env->disk().ForEachChunk(
-      [&h](uint64_t chunk_index, std::span<const uint8_t> data) {
-        h ^= chunk_index;
-        h *= 1099511628211ull;
-        for (uint8_t b : data) {
-          h ^= b;
-          h *= 1099511628211ull;
-        }
-      });
-  return h;
-}
-
 TEST(IoEndToEndTest, DelayedSyncerRunConvergesToSynchronousImage) {
   // With mtimes pinned to the op sequence, the only difference between the
   // synchronous path and the delayed path driven through the engine is
@@ -327,7 +313,7 @@ TEST(IoEndToEndTest, DelayedSyncerRunConvergesToSynchronousImage) {
       EXPECT_TRUE(workload::RunSmallFile(env->get(), params).ok());
       EXPECT_TRUE((*env)->fs()->Sync().ok());
       EXPECT_TRUE((*env)->syncer_status().ok());
-      return DiskImageHash(env->get());
+      return disk::ImageHash(env->get()->disk());
     };
     const uint64_t sync_image =
         run(fs::MetadataPolicy::kSynchronous, /*syncer=*/false);

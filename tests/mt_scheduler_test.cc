@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/check/ordering_checker.h"
+#include "src/disk/image.h"
 #include "src/io/syncer.h"
 #include "src/mt/driver.h"
 #include "src/mt/scheduler.h"
@@ -145,21 +145,6 @@ TEST(SchedulerKindTest, ParseRoundTrips) {
 
 // --- MtDriver -------------------------------------------------------------
 
-// FNV-1a over every allocated chunk of the simulated platter.
-uint64_t DiskImageHash(sim::SimEnv* env) {
-  uint64_t h = 1469598103934665603ull;
-  env->disk().ForEachChunk(
-      [&h](uint64_t chunk_index, std::span<const uint8_t> data) {
-        h ^= chunk_index;
-        h *= 1099511628211ull;
-        for (uint8_t b : data) {
-          h ^= b;
-          h *= 1099511628211ull;
-        }
-      });
-  return h;
-}
-
 sim::SimConfig MtConfig() {
   sim::SimConfig config;
   config.disk_spec = disk::TestDisk(512, 4, 64);
@@ -190,7 +175,7 @@ MtRunResult RunMt(sim::FsKind kind, const sim::SimConfig& config,
   snap.mt = driver.TakeStats();
   const auto violations = snap.CheckInvariants();
   EXPECT_TRUE(violations.empty()) << violations.front();
-  r.disk_hash = DiskImageHash(env->get());
+  r.disk_hash = disk::ImageHash(env->get()->disk());
   r.snapshot_json = snap.ToJsonString();
   r.stats = std::move(snap.mt);
   return r;

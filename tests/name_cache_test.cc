@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <map>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/disk/image.h"
 #include "src/fs/common/block_map.h"
 #include "src/fs/common/dir_block.h"
 #include "src/fs/common/fs_base.h"
@@ -212,6 +214,163 @@ TEST(InodeCacheTest, ZeroCapacityNeverStores) {
   EXPECT_EQ(cache.Lookup(1), nullptr);
 }
 
+// Seeded random ops against a test-side LRU model. A miss leaves the LRU
+// order alone, so after every step each key the model dropped (evicted,
+// erased, or under an erased directory) is probed and must miss; with equal
+// sizes that pins the resident set, and so the victim order. Every hit must
+// return the model's value. Some names are longer than the 15 bytes a short
+// std::string holds inline.
+TEST(DentryCacheTest, MatchesAnLruModelUnderRandomOps) {
+  constexpr size_t kCapacity = 12;
+  DentryCache cache(kCapacity);
+  using Key = std::pair<InodeNum, std::string>;
+  std::list<Key> lru;  // front = most recent
+  std::map<Key, DentryCache::Entry> model;
+  std::vector<Key> dropped;
+  const std::vector<std::string> names = {
+      "a", "b", "config", "fifteen-bytes-x", "sixteen-bytes-xx",
+      "a-name-well-past-the-inline-buffer", "z", "lib",
+      std::string(200, 'q')};
+  std::mt19937_64 rng(7);
+
+  auto drop = [&](Key k) {  // a copy: `k` may be an element of `lru`
+    lru.remove(k);
+    model.erase(k);
+    dropped.push_back(k);
+  };
+  auto touch = [&](const Key& k) {
+    lru.remove(k);
+    lru.push_front(k);
+  };
+  auto lookup = [&](const Key& k) {
+    const DentryCache::Entry* e = cache.Lookup(k.first, k.second);
+    const auto it = model.find(k);
+    ASSERT_EQ(e != nullptr, it != model.end()) << k.first << "/" << k.second;
+    if (e == nullptr) return;
+    EXPECT_EQ(e->inum, it->second.inum);
+    EXPECT_EQ(e->negative, it->second.negative);
+    touch(k);
+  };
+
+  size_t evictions = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const Key key{1 + rng() % 4, names[rng() % names.size()]};
+    const int op = static_cast<int>(rng() % 16);
+    if (op < 6) {
+      lookup(key);
+    } else if (op < 12) {
+      const bool negative = op >= 10;
+      const InodeNum inum = negative ? kInvalidInode : 100 + step;
+      if (negative) {
+        cache.PutNegative(key.first, key.second);
+      } else {
+        cache.PutPositive(key.first, key.second, inum);
+      }
+      if (!model.count(key)) {
+        while (model.size() >= kCapacity) {
+          drop(lru.back());
+          ++evictions;
+        }
+      }
+      model[key] = DentryCache::Entry{inum, negative};
+      touch(key);
+    } else if (op < 14) {
+      cache.Erase(key.first, key.second);
+      if (model.count(key)) drop(key);
+    } else if (op == 14) {
+      cache.EraseDir(key.first);
+      std::vector<Key> under;
+      for (const auto& [k, e] : model) {
+        if (k.first == key.first) under.push_back(k);
+      }
+      for (const Key& k : under) drop(k);
+    } else if (rng() % 64 == 0) {
+      cache.Clear();
+      while (!lru.empty()) drop(lru.back());
+    } else {
+      // Visit every entry from least to most recently used, which leaves
+      // the LRU order as it was.
+      const std::vector<Key> oldest_first(lru.rbegin(), lru.rend());
+      for (const Key& k : oldest_first) lookup(k);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "step " << step;
+    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+    for (const Key& k : dropped) {
+      if (model.count(k)) continue;  // put back in the same step
+      ASSERT_EQ(cache.Lookup(k.first, k.second), nullptr)
+          << "step " << step << ": " << k.first << "/" << k.second;
+    }
+    dropped.clear();
+  }
+  EXPECT_GT(evictions, 1000u);
+}
+
+TEST(InodeCacheTest, MatchesAnLruModelUnderRandomOps) {
+  constexpr size_t kCapacity = 8;
+  InodeCache cache(kCapacity);
+  std::list<InodeNum> lru;  // front = most recent
+  std::map<InodeNum, uint64_t> model;  // inum -> size stamp
+  std::vector<InodeNum> dropped;
+  std::mt19937_64 rng(11);
+
+  auto drop = [&](InodeNum n) {
+    lru.remove(n);
+    model.erase(n);
+    dropped.push_back(n);
+  };
+  auto touch = [&](InodeNum n) {
+    lru.remove(n);
+    lru.push_front(n);
+  };
+  auto lookup = [&](InodeNum n) {
+    const InodeData* ino = cache.Lookup(n);
+    const auto it = model.find(n);
+    ASSERT_EQ(ino != nullptr, it != model.end()) << n;
+    if (ino == nullptr) return;
+    EXPECT_EQ(ino->size, it->second);
+    touch(n);
+  };
+
+  size_t evictions = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const InodeNum num = 1 + rng() % 24;
+    const int op = static_cast<int>(rng() % 10);
+    if (op < 4) {
+      lookup(num);
+    } else if (op < 7) {
+      InodeData ino;
+      ino.type = FileType::kRegular;
+      ino.size = static_cast<uint64_t>(step);
+      cache.Put(num, ino);
+      if (!model.count(num)) {
+        while (model.size() >= kCapacity) {
+          drop(lru.back());
+          ++evictions;
+        }
+      }
+      model[num] = ino.size;
+      touch(num);
+    } else if (op < 9) {
+      cache.Erase(num);
+      if (model.count(num)) drop(num);
+    } else if (rng() % 64 == 0) {
+      cache.Clear();
+      while (!lru.empty()) drop(lru.back());
+    } else {
+      const std::vector<InodeNum> oldest_first(lru.rbegin(), lru.rend());
+      for (InodeNum n : oldest_first) lookup(n);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "step " << step;
+    ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+    for (InodeNum n : dropped) {
+      if (model.count(n)) continue;
+      ASSERT_EQ(cache.Lookup(n), nullptr) << "step " << step << ": " << n;
+    }
+    dropped.clear();
+  }
+  EXPECT_GT(evictions, 1000u);
+}
+
 TEST(NameCacheTest, ClearDropsAllThree) {
   NameCache nc;
   nc.dentries.PutPositive(1, "a", 2);
@@ -260,21 +419,6 @@ DirWalk WalkDir(sim::SimEnv* env, InodeNum dir) {
                 }).ok());
   }
   return walk;
-}
-
-// FNV-1a over every allocated chunk of the simulated platter.
-uint64_t DiskImageHash(sim::SimEnv* env) {
-  uint64_t h = 1469598103934665603ull;
-  env->disk().ForEachChunk(
-      [&h](uint64_t chunk_index, std::span<const uint8_t> data) {
-        h ^= chunk_index;
-        h *= 1099511628211ull;
-        for (uint8_t b : data) {
-          h ^= b;
-          h *= 1099511628211ull;
-        }
-      });
-  return h;
 }
 
 struct ChurnResult {
@@ -338,7 +482,7 @@ ChurnResult RunChurn(sim::FsKind kind, bool name_caches) {
     }
   }
   EXPECT_TRUE(fs->Sync().ok());
-  out.image_hash = DiskImageHash(env);
+  out.image_hash = disk::ImageHash(env->disk());
   return out;
 }
 
