@@ -282,7 +282,8 @@ class BufferCache {
                       std::span<uint8_t> data, bool group, bool stage,
                       uint64_t demand_bno);
   // A resident buffer for `bno` with every field reset, taken from the
-  // free list when it has one. Its data is uninitialized.
+  // free list when it has one. Its data is unspecified (a recycled buffer
+  // keeps its last contents); the caller fills all of it.
   Buffer* InsertNew(uint64_t bno);
   // Takes a resident buffer out of both indexes and the LRU and puts it on
   // the free list. Its contents are dropped.
